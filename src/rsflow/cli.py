@@ -145,7 +145,7 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 
 def _cmd_slice_image(args) -> int:
     vf, _ = rsff.read_field(args.snapshot)
-    comp_index = {"u1": 0, "u2": 1, "u3": 2, "rho": 3}[args.component]
+    comp_index = {"u1": 0, "u2": 1, "u3": 2}[args.component]
     if comp_index >= vf.ncomp:
         print(f"error: snapshot has no component {args.component}", file=sys.stderr)
         return 2
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("slice-image", help="banded PPM of a snapshot slice")
     sp.add_argument("--snapshot", required=True)
-    sp.add_argument("--component", choices=["u1", "u2", "u3", "rho"], required=True)
+    sp.add_argument("--component", choices=["u1", "u2", "u3"], required=True)
     sp.add_argument("--axis3", type=int, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--levels")

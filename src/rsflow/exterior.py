@@ -51,10 +51,6 @@ class KForm:
         self.degree = int(degree)
         self.coeffs: dict[tuple, object] = {}
         if coeffs:
-            if degree > d and coeffs:
-                nonzero = {t: c for t, c in coeffs.items()}
-                if nonzero:
-                    raise ValueError(f"degree {degree} > dimension {d} must be empty")
             for tup, c in coeffs.items():
                 tup = tuple(int(a) for a in tup)
                 _check_tuple(tup, degree, d)

@@ -1,9 +1,9 @@
 """Periodic uniform grids and sampled fields.
 
 Scalar/vector/tensor fields on d-dimensional periodic boxes with
-centered finite differences (2nd or 4th order), 4-point Lagrange
-interpolation, and a registry of closed-form fields with exact
-derivatives (backed by :class:`rsflow.trig.TrigPoly`).
+4th-order centered finite differences, 4-point Lagrange interpolation,
+and a registry of closed-form fields with exact derivatives (backed by
+:class:`rsflow.trig.TrigPoly`).
 
 Conventions: values are stored row-major (C order) with axis 1 slowest;
 the default box length is 2*pi per axis so integer wavenumbers are
@@ -110,8 +110,8 @@ class ScalarField:
     def from_function(cls, grid: Grid, fn) -> "ScalarField":
         return cls(grid, fn(*grid.coords()) * np.ones(grid.dims))
 
-    def diff(self, axis: int, scheme: str = "order4") -> "ScalarField":
-        return partial_derivative(self, axis, scheme)
+    def diff(self, axis: int) -> "ScalarField":
+        return partial_derivative(self, axis)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -217,39 +217,50 @@ class TensorField:
 # derivatives
 # ----------------------------------------------------------------------
 
-def _roll_derivative(values, axis, h, scheme):
-    if scheme == "order4":
-        return (-np.roll(values, -2, axis) + 8.0 * np.roll(values, -1, axis)
-                - 8.0 * np.roll(values, 1, axis) + np.roll(values, 2, axis)) / (12.0 * h)
-    if scheme == "order2":
-        return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * h)
-    raise ValueError(f"unknown scheme {scheme!r}")
+def _shift(values, axis: int):
+    """Periodic neighbour lookup along ``axis``: ``s(k)[i] == values[i + k]``."""
+    return lambda k: np.roll(values, -k, axis)
 
 
-def partial_derivative(f: ScalarField, axis: int, scheme: str = "order4") -> ScalarField:
+# Both stencils combine neighbours in symmetric pairs first, so an array
+# that is constant along ``axis`` (a broadcast view included) differentiates
+# to exactly 0 there: the RSF zero pattern holds without rounding noise.
+
+def derivative(values, axis: int, h: float) -> np.ndarray:
+    """4th-order centered periodic first derivative of an array along ``axis``."""
+    s = _shift(values, axis)
+    return (8.0 * (s(1) - s(-1)) - (s(2) - s(-2))) / (12.0 * h)
+
+
+def second_derivative(values, axis: int, h: float) -> np.ndarray:
+    """4th-order centered periodic second derivative of an array along ``axis``."""
+    s = _shift(values, axis)
+    return (16.0 * (s(1) + s(-1)) - (s(2) + s(-2)) - 30.0 * values) / (12.0 * h * h)
+
+
+def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
     """Centered periodic finite-difference derivative along ``axis`` (0-based)."""
     if not 0 <= axis < f.grid.d:
         raise ValueError(f"axis {axis} out of range for {f.grid.d}-dimensional grid")
-    h = f.grid.spacing[axis]
-    return ScalarField(f.grid, _roll_derivative(f.values, axis, h, scheme))
+    return ScalarField(f.grid, derivative(f.values, axis, f.grid.spacing[axis]))
 
 
-def divergence(u: VectorField, scheme: str = "order4") -> ScalarField:
+def divergence(u: VectorField) -> ScalarField:
     if u.ncomp != u.grid.d:
         raise ValueError(f"divergence needs {u.grid.d} components, got {u.ncomp}")
     out = np.zeros(u.grid.dims)
     for a, c in enumerate(u.components):
-        out += _roll_derivative(c.values, a, u.grid.spacing[a], scheme)
+        out += derivative(c.values, a, u.grid.spacing[a])
     return ScalarField(u.grid, out)
 
 
-def gradient_tensor(u: VectorField, scheme: str = "order4") -> TensorField:
+def gradient_tensor(u: VectorField) -> TensorField:
     """Velocity-gradient matrix; entry (r, c) = du_c / dx_r."""
     if u.ncomp != u.grid.d:
         raise ValueError(f"gradient tensor needs {u.grid.d} components, got {u.ncomp}")
     rows = []
     for r in range(u.grid.d):
-        rows.append(tuple(partial_derivative(u.components[c], r, scheme)
+        rows.append(tuple(partial_derivative(u.components[c], r)
                           for c in range(u.grid.d)))
     return TensorField(u.grid, tuple(rows))
 

@@ -10,13 +10,12 @@ antisymmetric matrix into pure-rotation planes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exterior import KForm, exterior_derivative, form_from_velocity
-from .fields import ScalarField, TensorField, VectorField, _roll_derivative
+from .fields import ScalarField, TensorField, VectorField, derivative
 
 __all__ = [
     "DecompPlan", "ZeroPattern", "CanonicalRotation",
@@ -107,8 +106,8 @@ def check_rsf(u: VectorField, pattern: ZeroPattern) -> float:
         raise ValueError("component count does not match pattern dimension")
     worst = 0.0
     for c, r in pattern.required_zero:
-        der = _roll_derivative(u.components[c - 1].values, r - 1,
-                               u.grid.spacing[r - 1], "order4")
+        der = derivative(u.components[c - 1].values, r - 1,
+                         u.grid.spacing[r - 1])
         worst = max(worst, float(np.max(np.abs(der))))
     return worst
 
@@ -149,41 +148,6 @@ class CanonicalRotation:
                            "Q": self.q.ravel().tolist()})
 
 
-def jacobi_eigh(s: np.ndarray, max_sweeps: int = 30, tol: float = 1e-13):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors-as-columns).  Deterministic cyclic
-    sweep order; raises if the off-diagonal norm has not dropped below
-    ``tol * ||s||_F`` after ``max_sweeps`` sweeps.
-    """
-    a = np.array(s, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    scale = max(np.linalg.norm(a), 1e-300)
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = math.sqrt(sum(a[p, q] ** 2 for p in range(n) for q in range(p + 1, n)))
-        if off <= 0.5 * tol * scale:
-            break
-        for p in range(n):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) <= 1e-300:
-                    continue
-                phi = 0.5 * math.atan2(2.0 * a[p, q], a[q, q] - a[p, p])
-                c, sn = math.cos(phi), math.sin(phi)
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = sn
-                rot[q, p] = -sn
-                a = rot.T @ a @ rot
-                v = v @ rot
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
-    return np.diag(a).copy(), v
-
-
 def _orthogonalize(vec, basis):
     for b in basis:
         vec = vec - (b @ vec) * b
@@ -194,10 +158,10 @@ def _orthogonalize(vec, basis):
 def canonical_antisymmetric(a: np.ndarray) -> CanonicalRotation:
     """Orthogonal congruence of an antisymmetric matrix to rotation blocks.
 
-    Eigen-decomposes A^T A by cyclic Jacobi; paired eigenvalues theta^2
-    identify the rotation planes.  Plane bases are fixed deterministically
-    (Gram-Schmidt in eigenvector order) with orientation chosen so each
-    block carries +theta below the diagonal.  Rates are sorted descending;
+    Eigen-decomposes the symmetric A^T A with ``np.linalg.eigh``; paired
+    eigenvalues theta^2 identify the rotation planes.  Plane bases are fixed
+    deterministically (Gram-Schmidt in eigenvector order) with orientation
+    chosen so each block carries +theta below the diagonal.  Rates are sorted descending;
     zero rates fill the remaining floor(d/2) slots.
     """
     a = np.asarray(a, dtype=float)
@@ -207,7 +171,7 @@ def canonical_antisymmetric(a: np.ndarray) -> CanonicalRotation:
     norm = max(np.linalg.norm(a), 1.0)
     if np.max(np.abs(a + a.T)) > 1e-12 * norm:
         raise ValueError("matrix is not antisymmetric")
-    w, v = jacobi_eigh(a.T @ a)
+    w, v = np.linalg.eigh(a.T @ a)
     order = np.argsort(w)[::-1]
     cols = [v[:, j] for j in order]
     rate_floor = 1e-9 * norm

@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import rsff
-from .fields import TWO_PI, Grid, ScalarField, VectorField, analytic_registry
+from .fields import (TWO_PI, Grid, ScalarField, VectorField, analytic_registry,
+                     derivative, second_derivative)
 from .rsf import check_rsf, zero_pattern
 
 log = logging.getLogger(__name__)
@@ -125,24 +126,10 @@ class FlowState:
     time: float = 0.0
 
 
-# ----------------------------------------------------------------------
-# array-level periodic derivatives (order 4)
-# ----------------------------------------------------------------------
-
-def _dx(v, axis, h):
-    return (-np.roll(v, -2, axis) + 8.0 * np.roll(v, -1, axis)
-            - 8.0 * np.roll(v, 1, axis) + np.roll(v, 2, axis)) / (12.0 * h)
-
-
-def _d2x(v, axis, h):
-    return (-np.roll(v, -2, axis) + 16.0 * np.roll(v, -1, axis) - 30.0 * v
-            + 16.0 * np.roll(v, 1, axis) - np.roll(v, 2, axis)) / (12.0 * h * h)
-
-
 def _laplacian(v, spacing, axes):
     out = np.zeros_like(v)
     for a in axes:
-        out += _d2x(v, a, spacing[a])
+        out += second_derivative(v, a, spacing[a])
     return out
 
 
@@ -212,8 +199,9 @@ def rhs(state: FlowState, cfg: SolverConfig):
     u1b = u1[:, :, None]
     u2b = u2[:, :, None]
 
-    du3_adv = -(u1b * _dx(u3, 0, h3[0]) + u2b * _dx(u3, 1, h3[1])
-                + u3 * _dx(u3, 2, h3[2]))
+    du3_adv = -(u1b * derivative(u3, 0, h3[0])
+                + u2b * derivative(u3, 1, h3[1])
+                + u3 * derivative(u3, 2, h3[2]))
 
     if cfg.mode == "kinematic_tg":
         return None, None, du3_adv, None
@@ -224,20 +212,24 @@ def rhs(state: FlowState, cfg: SolverConfig):
 
     if cfg.mode == "constrained":
         pi = cfg.c ** 2 * np.log(rho)
-        gp1, gp2 = _dx(pi, 0, h2[0]), _dx(pi, 1, h2[1])
+        gp1, gp2 = derivative(pi, 0, h2[0]), derivative(pi, 1, h2[1])
         du3 = du3_adv
-        drho = -(_dx(rho * u1, 0, h2[0]) + _dx(rho * u2, 1, h2[1]))
+        drho = -(derivative(rho * u1, 0, h2[0])
+                 + derivative(rho * u2, 1, h2[1]))
     else:  # free: 3D density
         pi = cfg.c ** 2 * np.log(rho)
-        gp1_3d, gp2_3d = _dx(pi, 0, h3[0]), _dx(pi, 1, h3[1])
+        gp1_3d, gp2_3d = derivative(pi, 0, h3[0]), derivative(pi, 1, h3[1])
         gp1 = gp1_3d.mean(axis=2)
         gp2 = gp2_3d.mean(axis=2)
-        du3 = du3_adv - _dx(pi, 2, h3[2])
-        drho = -(_dx(rho * u1b, 0, h3[0]) + _dx(rho * u2b, 1, h3[1])
-                 + _dx(rho * u3, 2, h3[2]))
+        du3 = du3_adv - derivative(pi, 2, h3[2])
+        drho = -(derivative(rho * u1b, 0, h3[0])
+                 + derivative(rho * u2b, 1, h3[1])
+                 + derivative(rho * u3, 2, h3[2]))
 
-    du1 = -(u1 * _dx(u1, 0, h2[0]) + u2 * _dx(u1, 1, h2[1])) - gp1
-    du2 = -(u1 * _dx(u2, 0, h2[0]) + u2 * _dx(u2, 1, h2[1])) - gp2
+    du1 = -(u1 * derivative(u1, 0, h2[0])
+            + u2 * derivative(u1, 1, h2[1])) - gp1
+    du2 = -(u1 * derivative(u2, 0, h2[0])
+            + u2 * derivative(u2, 1, h2[1])) - gp2
     if cfg.nu > 0:
         du1 += cfg.nu * _laplacian(u1, h2, (0, 1))
         du2 += cfg.nu * _laplacian(u2, h2, (0, 1))
@@ -253,7 +245,7 @@ def pressure_consistency_residual(state: FlowState, cfg: SolverConfig) -> float:
     h3 = state.grid3.spacing
     worst = 0.0
     for a in (0, 1):
-        gp = _dx(pi, a, h3[a])
+        gp = derivative(pi, a, h3[a])
         worst = max(worst, float(np.max(np.abs(gp - gp.mean(axis=2)[:, :, None]))))
     return worst
 
@@ -372,15 +364,11 @@ def run_simulation(cfg: SolverConfig, outdir=None,
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    prev = None
     index = 0
 
     def snapshot(st):
-        nonlocal prev, index
+        nonlocal index
         comps = assemble_velocity_arrays(st)
-        if prev is not None and st.u1 is prev[0]:
-            comps[0], comps[1] = prev[1], prev[2]  # keep steady views shared
-        prev = (st.u1, comps[0], comps[1])
         result.times.append(st.time)
         if keep_history:
             result.snapshots.append(comps)
@@ -392,7 +380,8 @@ def run_simulation(cfg: SolverConfig, outdir=None,
 
     snapshot(state)
     for step in range(1, nsteps + 1):
-        steep = float(np.max(np.abs(_dx(state.u3, 2, state.grid3.spacing[2]))))
+        steep = float(np.max(np.abs(
+            derivative(state.u3, 2, state.grid3.spacing[2]))))
         if steep > U3_GRADIENT_ABORT:
             raise RuntimeError(
                 f"vertical self-steepening blew up (|d3 u3|={steep:.3g} "

@@ -23,9 +23,10 @@ from .exterior import (DiscreteMap, KForm, exterior_derivative,
                        form_from_velocity, interior_product,
                        lie_derivative_cartan, lie_derivative_components,
                        pullback, wedge)
-from .fields import (Grid, Interpolator, ScalarField, VectorField, restrict)
+from .fields import (Grid, Interpolator, ScalarField, TensorField, VectorField,
+                     derivative, restrict)
 from .rsf import DecompPlan, component_vorticities, decomposition_plan
-from .solver import SimulationResult, _dx
+from .solver import SimulationResult
 from .trig import TrigPoly
 
 __all__ = [
@@ -69,8 +70,8 @@ class VelocityHistory:
         self.snapshots = [list(s) for s in snapshots]
         if len(self.snapshots) != len(times):
             raise ValueError("times/snapshots length mismatch")
-        self._steady = [all(s[c] is self.snapshots[0][c] for s in self.snapshots)
-                        for c in range(3)]
+        self._steady = [all(np.array_equal(s[c], self.snapshots[0][c])
+                            for s in self.snapshots) for c in range(3)]
         self._grad_cache: dict = {}
         self._time_cache: dict = {}
 
@@ -132,7 +133,7 @@ class VelocityHistory:
             if self._steady[c] and c in self._grad_cache:
                 gc = self._grad_cache[c]
             else:
-                gc = [_dx(comps[c], k, h[k]) for k in range(3)]
+                gc = [derivative(comps[c], k, h[k]) for k in range(3)]
                 if self._steady[c]:
                     self._grad_cache[c] = gc
             for k in range(3):
@@ -180,7 +181,7 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
         for k in range(3):
             for c in range(3):
                 g[:, k, c] = itp(grads[k][c])
-        return u, np.einsum("prk,pkc->prc", jc, g)
+        return u, jc @ g
 
     dt = (t1 - t0) / substeps
     t = t0
@@ -203,7 +204,6 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
         coarse, [x[:, c].reshape(shape) for c in range(3)])
     rows = tuple(tuple(ScalarField(coarse, jac[:, r, c].reshape(shape))
                        for c in range(3)) for r in range(3))
-    from .fields import TensorField
     dmap = DiscreteMap(coarse, images, TensorField(coarse, rows))
     return FlowMap(t0, t1, dmap)
 

@@ -92,6 +92,16 @@ def test_slice_image_rejects_bad_slice_index(sim_outdir, tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_slice_image_rejects_rho(sim_outdir, tmp_path, capsys):
+    # snapshots hold only the velocity components
+    snap = sorted(sim_outdir.glob("snap_*.rsff"))[0]
+    with pytest.raises(SystemExit) as exc:
+        main(["slice-image", "--snapshot", str(snap), "--component", "rho",
+              "--axis3", "0", "--out", str(tmp_path / "rho.ppm")])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_banded_rgb_constant_field_is_single_color():
     rgb = banded_rgb(np.zeros((8, 8)))
     assert rgb.shape == (8, 8, 3)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rsflow.fields import (Grid, Interpolator, ScalarField, VectorField,
-                           analytic_registry, divergence, gradient_tensor,
-                           interpolate, partial_derivative, restrict)
+                           analytic_registry, derivative, divergence,
+                           gradient_tensor, interpolate, partial_derivative,
+                           restrict, second_derivative)
 from rsflow.trig import TrigPoly
 
 
@@ -57,16 +58,26 @@ def test_derivative_fourth_order_convergence():
     assert 14.0 < ratio < 18.0  # 2^4 = 16 for a 4th-order stencil
 
 
-def test_second_order_scheme_converges_at_order_two():
+def test_second_derivative_fourth_order_convergence():
     f = TrigPoly.sin(1, (3,))
-    exact = f.diff(0)
+    exact = f.diff(0).diff(0)
     errs = []
     for n in (32, 64):
         g = Grid((n,))
-        err = (partial_derivative(_sample(f, g), 0, "order2")
-               - _sample(exact, g)).max_abs()
-        errs.append(err)
-    assert 3.5 < errs[0] / errs[1] < 4.5
+        num = second_derivative(_sample(f, g).values, 0, g.spacing[0])
+        errs.append(np.max(np.abs(num - _sample(exact, g).values)))
+    ratio = errs[0] / errs[1]
+    assert 14.0 < ratio < 18.0  # 2^4 = 16 for a 4th-order stencil
+
+
+@pytest.mark.parametrize("stencil", [derivative, second_derivative])
+def test_stencil_of_axis_constant_array_is_exactly_zero(stencil):
+    rng = np.random.default_rng(3)
+    plane = rng.normal(size=(12, 10))
+    full = np.repeat(plane[:, :, None], 8, axis=2)
+    view = np.broadcast_to(plane[:, :, None], (12, 10, 8))
+    for arr in (full, view):
+        assert np.all(stencil(arr, 2, 0.37) == 0.0)
 
 
 def test_divergence_equals_gradient_trace():

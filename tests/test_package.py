@@ -1,0 +1,18 @@
+"""Package structure: module boundaries that the source must keep."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rsflow"
+
+
+def test_no_private_names_imported_across_modules():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                offenders += [f"{path.name}: from {'.' * node.level}"
+                              f"{node.module or ''} import {alias.name}"
+                              for alias in node.names
+                              if alias.name.startswith("_")]
+    assert not offenders, offenders

@@ -11,7 +11,7 @@ from rsflow.exterior import form_from_velocity
 from rsflow.fields import Grid, ScalarField, VectorField, gradient_tensor
 from rsflow.rsf import (canonical_antisymmetric, check_rsf,
                         component_velocity_forms, component_vorticities,
-                        decomposition_plan, jacobi_eigh, sym_antisym_split,
+                        decomposition_plan, sym_antisym_split,
                         zero_pattern)
 from rsflow.trig import TrigPoly
 
@@ -143,15 +143,6 @@ def test_split_properties():
 def _random_antisym(rng, d):
     raw = rng.normal(size=(d, d))
     return 0.5 * (raw - raw.T)
-
-
-def test_jacobi_matches_numpy_eigh():
-    rng = np.random.default_rng(5)
-    raw = rng.normal(size=(6, 6))
-    s = raw + raw.T
-    w, v = jacobi_eigh(s)
-    np.testing.assert_allclose(sorted(w), np.linalg.eigvalsh(s), atol=1e-10)
-    np.testing.assert_allclose(v @ np.diag(w) @ v.T, s, atol=1e-10)
 
 
 def test_canonical_single_rotation_block():

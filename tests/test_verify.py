@@ -42,6 +42,16 @@ def test_history_detects_steady_components():
     assert h._steady == [True, True, True]
 
 
+def test_history_from_rsff_keeps_steady_horizontal_flow(tmp_path):
+    # steadiness is read from the values, so it survives a file round trip
+    cfg = SolverConfig(mode="kinematic_tg", dims=(16, 16, 16), t_end=0.5,
+                       amplitude=0.1, kmax=1, snapshot_stride=1)
+    run_simulation(cfg, outdir=tmp_path, keep_history=False)
+    h = VelocityHistory.from_rsff_dir(tmp_path)
+    assert len(h.times) >= 3
+    assert h._steady == [True, True, False]
+
+
 # ----------------------------------------------------------------------
 # flow maps
 # ----------------------------------------------------------------------
