@@ -2,7 +2,8 @@
 
 Subcommands: plan, check-rsf, simulate, verify-frozen, verify-identities,
 canonical, slice-image.  Exit code 0 means every requested threshold was
-met; anything else is a failure (CI-friendly).
+met; anything else is a failure (CI-friendly).  Unreadable or malformed
+input ends with exit code 2 and one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -17,17 +18,12 @@ import numpy as np
 from . import rsff
 from .rsf import canonical_antisymmetric, check_rsf, decomposition_plan, zero_pattern
 from .solver import parse_config, run_simulation
-from .verify import (frozen_convergence_study, identity_suite, lemma1_check,
-                     VelocityHistory)
+from .verify import (frozen_convergence_study, frozen_in_errors, identity_suite,
+                     lemma1_check, VelocityHistory)
 
 
 def _cmd_plan(args) -> int:
-    try:
-        plan = decomposition_plan(args.d)
-    except ValueError as exc:
-        print(f"error: {exc} (the decomposition is stated for d >= 3)",
-              file=sys.stderr)
-        return 2
+    plan = decomposition_plan(args.d)
     if args.json:
         print(plan.to_json())
     else:
@@ -62,17 +58,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify_frozen(args) -> int:
     if args.snapshots:
         history = VelocityHistory.from_rsff_dir(args.snapshots)
-        from .rsf import component_vorticities
-        from .verify import advect_flowmap, pullback_error
-        plan = decomposition_plan(3)
-        w0 = component_vorticities(history.velocity_field(0), plan)
-        w1 = component_vorticities(history.velocity_field(-1), plan)
-        n = history.grid.dims[0]
-        fmap = advect_flowmap(history, history.t0, history.t1,
-                              2 * (len(history.times) - 1),
-                              stride=max(1, n // 32))
-        errs = {"omega_h": pullback_error(w1[0], fmap, w0[0]),
-                "omega_rest": pullback_error(w1[1], fmap, w0[1])}
+        errs = frozen_in_errors(history, history)
         out = {"scenario": "snapshots", "errors": errs}
         ok = all(e["l2_normalized"] <= args.threshold for e in errs.values())
     else:
@@ -145,15 +131,16 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 
 def _cmd_slice_image(args) -> int:
     vf, _ = rsff.read_field(args.snapshot)
+    if vf.grid.d != 3:
+        raise ValueError(f"{args.snapshot}: slice-image needs a 3D field, "
+                         f"got {vf.grid.d}D")
     comp_index = {"u1": 0, "u2": 1, "u3": 2}[args.component]
     if comp_index >= vf.ncomp:
-        print(f"error: snapshot has no component {args.component}", file=sys.stderr)
-        return 2
+        raise ValueError(f"snapshot has no component {args.component}")
     vals = vf.components[comp_index].values
     if not 0 <= args.axis3 < vals.shape[2]:
-        print(f"error: slice index {args.axis3} out of range "
-              f"0..{vals.shape[2] - 1}", file=sys.stderr)
-        return 2
+        raise ValueError(f"slice index {args.axis3} out of range "
+                         f"0..{vals.shape[2] - 1}")
     levels = [float(x) for x in args.levels.split(",")] if args.levels else None
     write_ppm(args.out, banded_rgb(vals[:, :, args.axis3], levels))
     return 0
@@ -211,7 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:  # unreadable or malformed input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -326,19 +326,6 @@ class DiscreteMap:
         return cls(grid, images, TensorField(grid, tuple(tuple(r) for r in eye)))
 
 
-def _minor_det(jac_entries, rows, cols, shape):
-    """det of the Jacobian submatrix with given 0-based rows/cols, per node."""
-    k = len(rows)
-    out = np.zeros(shape)
-    for perm in itertools.permutations(range(k)):
-        sign = _sort_with_sign(perm)[0]
-        term = np.ones(shape)
-        for r, p in zip(rows, perm):
-            term = term * jac_entries[r][cols[p]]
-        out += sign * term
-    return out
-
-
 def pullback(dmap: DiscreteMap, omega: KForm) -> KForm:
     """Pull a grid k-form back through the map.
 
@@ -352,26 +339,24 @@ def pullback(dmap: DiscreteMap, omega: KForm) -> KForm:
     src_grid = omega.grid
     if src_grid is None and omega.coeffs:
         raise ValueError("pullback needs grid coefficients")
-    det = dmap.jacobian_det()
-    if np.any(np.abs(det) < 1e-300):
+    jac = dmap.jacobian.values()
+    if np.any(np.abs(np.linalg.det(jac)) < 1e-300):
         raise ValueError("singular jacobian in pullback")
     pts = np.stack([c.values for c in dmap.images.components], axis=-1)
     if not omega.coeffs:
         return KForm(grid.d, k, {})
-    itp = Interpolator(src_grid, pts)
-    sampled = {tup: itp(c.values) for tup, c in omega.coeffs.items()}
+    images = list(omega.coeffs)
+    sampled = Interpolator(src_grid, pts)(
+        np.stack([omega.coeffs[img].values for img in images]))
     if k == 0:
-        return KForm(grid.d, 0, {(): ScalarField(grid, sampled[()])})
-    jac = [[dmap.jacobian.entry(r, c).values for c in range(grid.d)]
-           for r in range(grid.d)]
+        return KForm(grid.d, 0, {(): ScalarField(grid, sampled[0])})
     out: dict = {}
     for dom in itertools.combinations(range(1, grid.d + 1), k):
         acc = None
         rows = [a - 1 for a in dom]
-        for img, vals in sampled.items():
+        for img, vals in zip(images, sampled):
             cols = [a - 1 for a in img]
-            minor = _minor_det(jac, rows, cols, grid.dims)
-            term = vals * minor
+            term = vals * np.linalg.det(jac[..., rows, :][..., cols])
             acc = term if acc is None else acc + term
         if acc is not None and np.any(acc):
             out[dom] = ScalarField(grid, acc)

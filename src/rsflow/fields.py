@@ -282,9 +282,10 @@ def _lagrange4_weights(t):
 class Interpolator:
     """Periodic 4-point Lagrange interpolation at a fixed set of points.
 
-    Precomputes indices and weights once so several fields sampled at the
-    same points (velocity components, gradient entries) share the setup.
-    Points landing on grid nodes reproduce nodal values bit-exactly.
+    Precomputes indices and weights once; one call interpolates a whole
+    stack of fields (velocity components, gradient entries, form
+    coefficients) at the same points.  Points landing on grid nodes
+    reproduce nodal values bit-exactly.
     """
 
     def __init__(self, grid: Grid, points):
@@ -294,29 +295,41 @@ class Interpolator:
         self.grid = grid
         self.shape = pts.shape[:-1]
         flat = pts.reshape(-1, grid.d)
-        self._idx = []
+        self._idx = []  # per axis and offset: node index times C-order stride
         self._w = []
         for a in range(grid.d):
             h = grid.spacing[a]
             n = grid.dims[a]
+            stride = math.prod(grid.dims[a + 1:])
             s = flat[:, a] / h
             snapped = np.rint(s)
             s = np.where(np.abs(s - snapped) < 1e-9, snapped, s)
             i0 = np.floor(s).astype(np.int64)
             t = s - i0
-            self._idx.append([np.mod(i0 + o, n) for o in (-1, 0, 1, 2)])
+            self._idx.append([np.mod(i0 + o, n) * stride for o in (-1, 0, 1, 2)])
             self._w.append(_lagrange4_weights(t))
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
+    def __call__(self, values) -> np.ndarray:
+        """Interpolate fields of shape ``extra + grid.dims``; returns
+        ``extra + shape`` (a single field is the case ``extra == ()``)."""
+        values = np.asarray(values, dtype=float)
         d = self.grid.d
-        out = np.zeros(self._idx[0][0].shape)
+        if values.shape[-d:] != self.grid.dims:
+            raise ValueError(f"values shape {values.shape} does not end in "
+                             f"grid dims {self.grid.dims}")
+        extra = values.shape[:-d]
+        rows = values.reshape(-1, self.grid.npoints)
+        out = np.zeros((rows.shape[0], self._idx[0][0].size))
         for offs in itertools.product(range(4), repeat=d):
             w = self._w[0][offs[0]]
+            flat = self._idx[0][offs[0]]
             for a in range(1, d):
                 w = w * self._w[a][offs[a]]
-            idx = tuple(self._idx[a][offs[a]] for a in range(d))
-            out = out + w * values[idx]
-        return out.reshape(self.shape)
+                flat = flat + self._idx[a][offs[a]]
+            tap = rows.take(flat, axis=1)
+            tap *= w
+            out += tap
+        return out.reshape(extra + self.shape)
 
 
 def interpolate(f: ScalarField, point) -> float | np.ndarray:

@@ -51,7 +51,7 @@ class DecompPlan:
 def decomposition_plan(d: int) -> DecompPlan:
     """Pair plan with M = floor((d+1)/2) components; requires d >= 3."""
     if d < 3:
-        raise ValueError(f"decomposition requires dimension >= 3, got {d}")
+        raise ValueError(f"the decomposition is stated for d >= 3, got d = {d}")
     m = (d + 1) // 2
     pairs = tuple((2 * i + 1, 2 * i + 2) for i in range(m))
     plan = DecompPlan(d, m, pairs, padded=bool(d % 2))

@@ -49,16 +49,19 @@ def read_field(path):
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not an RSFF file")
-    ver, d, ncomp = struct.unpack_from("<III", raw, 4)
-    if ver != VERSION:
-        raise ValueError(f"{path}: unsupported version {ver}")
-    off = 16
-    dims = struct.unpack_from(f"<{d}I", raw, off)
-    off += 4 * d
-    length = struct.unpack_from(f"<{d}d", raw, off)
-    off += 8 * d
-    (time,) = struct.unpack_from("<d", raw, off)
-    off += 8
+    try:
+        ver, d, ncomp = struct.unpack_from("<III", raw, 4)
+        if ver != VERSION:
+            raise ValueError(f"{path}: unsupported version {ver}")
+        off = 16
+        dims = struct.unpack_from(f"<{d}I", raw, off)
+        off += 4 * d
+        length = struct.unpack_from(f"<{d}d", raw, off)
+        off += 8 * d
+        (time,) = struct.unpack_from("<d", raw, off)
+        off += 8
+    except struct.error:
+        raise ValueError(f"{path}: truncated header ({len(raw)} bytes)") from None
     grid = Grid(dims, length)
     n = grid.npoints
     expected = off + 8 * n * ncomp

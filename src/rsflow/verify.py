@@ -32,8 +32,8 @@ from .trig import TrigPoly
 __all__ = [
     "VelocityHistory", "FlowMap", "VerificationReport", "advect_flowmap",
     "pullback_error", "residual_pde", "lemma1_check", "identity_suite",
-    "wedge_invariant_study", "kinematic_frozen_case", "frozen_convergence_study",
-    "fit_order",
+    "wedge_invariant_study", "frozen_in_errors", "kinematic_frozen_case",
+    "frozen_convergence_study", "fit_order",
 ]
 
 
@@ -72,8 +72,10 @@ class VelocityHistory:
             raise ValueError("times/snapshots length mismatch")
         self._steady = [all(np.array_equal(s[c], self.snapshots[0][c])
                             for s in self.snapshots) for c in range(3)]
-        self._grad_cache: dict = {}
-        self._time_cache: dict = {}
+        h, first = grid.spacing, self.snapshots[0]
+        self._steady_grads = {
+            c: np.stack([derivative(first[c], k, h[k]) for k in range(3)])
+            for c in range(3) if self._steady[c]}
 
     @classmethod
     def from_result(cls, result: SimulationResult) -> "VelocityHistory":
@@ -111,37 +113,26 @@ class VelocityHistory:
         j = max(0, min(j, n - 4))
         return j
 
-    def velocity_at(self, t: float):
-        """(components, grads) at time t; grads[k][c] = du_c/dx_k arrays."""
-        key = round(float(t), 12)
-        if key in self._time_cache:
-            return self._time_cache[key]
+    def velocity_at(self, t: float) -> np.ndarray:
+        """Velocity and its gradient at time t as one (12,) + dims stack:
+        row c is u_c and row 3 + 3k + c is du_c/dx_k."""
         j = self._window(t)
         w = _lagrange_weights(self.times[j:j + 4], t)
-        comps = []
-        for c in range(3):
-            if self._steady[c]:
-                comps.append(self.snapshots[0][c])
-            else:
-                acc = w[0] * self.snapshots[j][c]
-                for m in range(1, 4):
-                    acc = acc + w[m] * self.snapshots[j + m][c]
-                comps.append(acc)
-        grads = [[None] * 3 for _ in range(3)]
+        out = np.empty((12,) + self.grid.dims)
+        grads = out[3:].reshape((3, 3) + self.grid.dims)
         h = self.grid.spacing
         for c in range(3):
-            if self._steady[c] and c in self._grad_cache:
-                gc = self._grad_cache[c]
-            else:
-                gc = [derivative(comps[c], k, h[k]) for k in range(3)]
-                if self._steady[c]:
-                    self._grad_cache[c] = gc
+            if self._steady[c]:
+                out[c] = self.snapshots[0][c]
+                grads[:, c] = self._steady_grads[c]
+                continue
+            acc = w[0] * self.snapshots[j][c]
+            for m in range(1, 4):
+                acc = acc + w[m] * self.snapshots[j + m][c]
+            out[c] = acc
             for k in range(3):
-                grads[k][c] = gc[k]
-        if len(self._time_cache) > 6:
-            self._time_cache.clear()
-        self._time_cache[key] = (comps, grads)
-        return comps, grads
+                grads[k, c] = derivative(acc, k, h[k])
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,23 +164,23 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
     x = pts.copy()
     jac = np.broadcast_to(np.eye(3), (x.shape[0], 3, 3)).copy()
 
-    def deriv(xc, jc, t):
-        comps, grads = history.velocity_at(t)
-        itp = Interpolator(fine, xc)
-        u = np.stack([itp(comps[c]) for c in range(3)], axis=-1)
-        g = np.empty((xc.shape[0], 3, 3))
-        for k in range(3):
-            for c in range(3):
-                g[:, k, c] = itp(grads[k][c])
-        return u, jc @ g
+    def deriv(xc, jc, stack):
+        vals = Interpolator(fine, xc)(stack)
+        # copy the velocity rows: a view would keep all 12 rows alive
+        return vals[:3].T.copy(), jc @ vals[3:].T.reshape(-1, 3, 3)
 
+    # one velocity stack per distinct stage time; the end of a substep
+    # is the start of the next
     dt = (t1 - t0) / substeps
     t = t0
+    stack = history.velocity_at(t)
     for _ in range(substeps):
-        dx1, dj1 = deriv(x, jac, t)
-        dx2, dj2 = deriv(x + 0.5 * dt * dx1, jac + 0.5 * dt * dj1, t + 0.5 * dt)
-        dx3, dj3 = deriv(x + 0.5 * dt * dx2, jac + 0.5 * dt * dj2, t + 0.5 * dt)
-        dx4, dj4 = deriv(x + dt * dx3, jac + dt * dj3, t + dt)
+        dx1, dj1 = deriv(x, jac, stack)
+        stack = history.velocity_at(t + 0.5 * dt)
+        dx2, dj2 = deriv(x + 0.5 * dt * dx1, jac + 0.5 * dt * dj1, stack)
+        dx3, dj3 = deriv(x + 0.5 * dt * dx2, jac + 0.5 * dt * dj2, stack)
+        stack = history.velocity_at(t + dt)
+        dx4, dj4 = deriv(x + dt * dx3, jac + dt * dj3, stack)
         x = x + (dt / 6.0) * (dx1 + 2 * dx2 + 2 * dx3 + dx4)
         jac = jac + (dt / 6.0) * (dj1 + 2 * dj2 + 2 * dj3 + dj4)
         t += dt
@@ -360,9 +351,29 @@ def identity_suite(dims=range(3, 9), seeds=20, kmax=2) -> dict:
 # manufactured frozen-in campaign
 # ----------------------------------------------------------------------
 
+def frozen_in_errors(history: VelocityHistory,
+                     transport: VelocityHistory) -> dict:
+    """Pullback errors of the two component 2-forms of a 3D history.
+
+    The forms come from the first and last snapshots of ``history``; the
+    flow map is advected over the same interval through ``transport``
+    (``history`` itself, or a corrupted copy for a negative control).
+    Every max(1, n // 32)-th node carries a particle, and the map takes
+    2 RK4 substeps per snapshot interval.
+    """
+    plan = decomposition_plan(3)
+    omegas_t0 = component_vorticities(history.velocity_field(0), plan)
+    omegas_t1 = component_vorticities(history.velocity_field(-1), plan)
+    stride = max(1, history.grid.dims[0] // 32)
+    substeps = 2 * (len(history.times) - 1)
+    fmap = advect_flowmap(transport, history.t0, history.t1, substeps,
+                          stride=stride)
+    return {"omega_h": pullback_error(omegas_t1[0], fmap, omegas_t0[0]),
+            "omega_rest": pullback_error(omegas_t1[1], fmap, omegas_t0[1])}
+
+
 def kinematic_frozen_case(n: int, seed: int = 11, kmax: int = 1,
                           amplitude: float = 0.3, t_end: float = 1.0,
-                          sample_target: int = 32,
                           wrong_velocity: bool = False) -> dict:
     """One manufactured frozen-in run at resolution n^3.
 
@@ -381,22 +392,12 @@ def kinematic_frozen_case(n: int, seed: int = 11, kmax: int = 1,
                        amplitude=amplitude)
     result = run_simulation(cfg, keep_history=True)
     history = VelocityHistory.from_result(result)
-    plan = decomposition_plan(3)
-    omegas_t0 = component_vorticities(history.velocity_field(0), plan)
-    omegas_t1 = component_vorticities(history.velocity_field(-1), plan)
-
+    transport = history
     if wrong_velocity:
         corrupted = [[-s[0], -s[1], s[2]] for s in history.snapshots]
-        history = VelocityHistory(history.grid, history.times, corrupted)
-
-    stride = max(1, n // sample_target)
-    substeps = 2 * (len(history.times) - 1)
-    fmap = advect_flowmap(history, history.t0, history.t1, substeps,
-                          stride=stride)
-    err_h = pullback_error(omegas_t1[0], fmap, omegas_t0[0])
-    err_rest = pullback_error(omegas_t1[1], fmap, omegas_t0[1])
+        transport = VelocityHistory(history.grid, history.times, corrupted)
     return {"n": n, "snapshots": len(history.times),
-            "omega_h": err_h, "omega_rest": err_rest}
+            **frozen_in_errors(history, transport)}
 
 
 def fit_order(ns, errors) -> float:

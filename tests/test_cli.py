@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from rsflow import rsff
 from rsflow.cli import banded_rgb, main
+from rsflow.fields import Grid, VectorField
 
 
 def test_plan_text_output(capsys):
@@ -126,3 +128,33 @@ def test_verify_frozen_from_snapshots(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert report["errors"]["omega_h"]["l2_normalized"] <= 1e-2
+
+
+@pytest.mark.parametrize("command", ["check-rsf", "slice-image"])
+@pytest.mark.parametrize("kind", ["2d", "not_rsff", "truncated", "missing"])
+def test_bad_field_file_is_a_one_line_error(command, kind, tmp_path, capsys):
+    path = tmp_path / "field.rsff"
+    if kind == "2d":
+        g = Grid((8, 8))
+        rsff.write_field(path, VectorField.from_arrays(g, [np.zeros(g.dims)] * 3))
+    elif kind == "not_rsff":
+        path.write_text("time,energy\n0,1\n")
+    elif kind == "truncated":
+        path.write_bytes(b"RSFF\x01\x00")
+    if command == "check-rsf":
+        argv = ["check-rsf", "--field", str(path)]
+    else:
+        argv = ["slice-image", "--snapshot", str(path), "--component", "u1",
+                "--axis3", "0", "--out", str(tmp_path / "x.ppm")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    expected = {"2d": "d >= 3" if command == "check-rsf" else "3D field",
+                "not_rsff": "not an RSFF file", "truncated": "truncated header",
+                "missing": "No such file"}[kind]
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
+
+
+def test_verify_frozen_without_snapshots_is_a_one_line_error(tmp_path, capsys):
+    assert main(["verify-frozen", "--snapshots", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: no snap_*.rsff files in {tmp_path}\n"

@@ -131,6 +131,27 @@ def test_interpolation_is_exact_on_nodes():
     assert np.array_equal(vals, f.values)  # bit-exact at nodes
 
 
+def test_interpolating_a_stack_equals_one_call_per_field():
+    g = Grid((8, 10, 12))  # unequal axes, so a wrong stride shows
+    rng = np.random.default_rng(6)
+    fields = [_sample(TrigPoly.random(3, 2, rng), g).values for _ in range(2)]
+    fields.append(np.broadcast_to(fields[0][..., :1], g.dims))
+    stack = np.stack(fields)
+    itp = Interpolator(g, rng.uniform(-1.0, 7.0, size=(5, 7, 3)))
+    got = itp(stack)
+    assert got.shape == (3, 5, 7)
+    for f, row in zip(fields, got):
+        assert np.array_equal(row, itp(f))
+    assert np.array_equal(itp(stack.reshape((3, 1) + g.dims))[:, 0], got)
+    assert np.array_equal(Interpolator(g, g.points())(stack), stack)
+
+
+def test_interpolator_rejects_values_on_another_grid():
+    itp = Interpolator(Grid.cube(3, 8), np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="grid dims"):
+        itp(np.zeros((16, 16, 16)))
+
+
 def test_interpolation_accuracy_off_nodes():
     g = Grid.cube(2, 64)
     rng = np.random.default_rng(4)

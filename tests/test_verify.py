@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rsflow.exterior import wedge
-from rsflow.fields import Grid, ScalarField, VectorField
+from rsflow.fields import Grid, ScalarField, VectorField, derivative
 from rsflow.rsf import component_vorticities, decomposition_plan
 from rsflow.solver import SolverConfig, run_simulation
 from rsflow.trig import TrigPoly
@@ -72,6 +72,16 @@ def test_flowmap_constant_velocity_is_exact():
                                        expect, atol=1e-13)
 
 
+def test_flowmap_evaluates_history_once_per_distinct_stage_time():
+    g = Grid.cube(3, 8)
+    h = _constant_history(g, (0.3, -0.2, 0.1), [0.0, 0.25, 0.5, 0.75, 1.0])
+    times = []
+    evaluate = h.velocity_at
+    h.velocity_at = lambda t: times.append(t) or evaluate(t)
+    advect_flowmap(h, 0.0, 1.0, substeps=3)
+    assert len(times) == 2 * 3 + 1
+
+
 def test_flowmap_volume_preserved_by_divergence_free_flow():
     cfg = SolverConfig(mode="kinematic_tg", dims=(32, 32, 32), t_end=0.5,
                        amplitude=0.1, kmax=1, snapshot_stride=1)
@@ -129,6 +139,17 @@ def short_kinematic_history():
     cfg = SolverConfig(mode="kinematic_tg", dims=(32, 32, 32), t_end=0.4,
                        amplitude=0.1, kmax=1, snapshot_stride=1)
     return VelocityHistory.from_result(run_simulation(cfg))
+
+
+def test_velocity_at_stacks_velocity_and_gradient(short_kinematic_history):
+    h = short_kinematic_history
+    assert h._steady == [True, True, False]
+    stack = h.velocity_at(0.5 * (h.times[1] + h.times[2]))
+    assert stack.shape == (12,) + h.grid.dims
+    for k in range(3):
+        for c in range(3):
+            assert np.array_equal(stack[3 + 3 * k + c],
+                                  derivative(stack[c], k, h.grid.spacing[k]))
 
 
 def test_residual_pde_linearity(short_kinematic_history):
