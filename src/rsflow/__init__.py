@@ -5,9 +5,9 @@ decomposition, a barotropic box solver, and the frozen-in verification
 harness.
 """
 
-from .fields import (Grid, ScalarField, TensorField, VectorField,
-                     AnalyticField, analytic_registry, divergence,
-                     gradient_tensor, interpolate, partial_derivative)
+from .fields import (Grid, ScalarField, TensorField, VectorField, divergence,
+                     gradient_tensor, interpolate, partial_derivative,
+                     taylor_green_2d)
 from .exterior import (DiscreteMap, KForm, antisym_matrix_rep,
                        exterior_derivative, form_from_velocity,
                        interior_product, lie_derivative_cartan,

@@ -16,7 +16,6 @@ transport law.  Their agreement is one of the core consistency checks.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,31 +110,11 @@ class KForm:
 
 
 # ----------------------------------------------------------------------
-# sign helpers on sorted tuples
+# permutation sign
 # ----------------------------------------------------------------------
 
-def _insert_axis(tup, a):
-    """Insert axis a into sorted tuple; returns (sign, new_tuple) or None."""
-    pos = bisect_left(tup, a)
-    if pos < len(tup) and tup[pos] == a:
-        return None
-    return (-1) ** pos, tup[:pos] + (a,) + tup[pos:]
-
-
-def _merge_sign(t1, t2):
-    """Sign of sorting the concatenation t1 + t2; None if axes overlap."""
-    if set(t1) & set(t2):
-        return None
-    sign = 1
-    for a in t1:
-        # count entries of t2 smaller than a, each costs one transposition
-        sign *= (-1) ** bisect_left(t2, a)
-    merged = tuple(sorted(t1 + t2))
-    return sign, merged
-
-
 def _sort_with_sign(seq):
-    """Sort a sequence counting swaps; None on duplicates."""
+    """(sign of the sorting permutation, sorted tuple); None on duplicates."""
     seq = list(seq)
     sign = 1
     for i in range(1, len(seq)):
@@ -211,10 +190,10 @@ def exterior_derivative(omega: KForm) -> KForm:
     out: dict = {}
     for tup, c in omega.coeffs.items():
         for a in range(1, d + 1):
-            ins = _insert_axis(tup, a)
-            if ins is None:
+            srt = _sort_with_sign((a,) + tup)
+            if srt is None:
                 continue
-            sign, ntup = ins
+            sign, ntup = srt
             _acc(out, ntup, c.diff(a - 1) * float(sign))
     return KForm(d, omega.degree + 1, _prune(out))
 
@@ -233,10 +212,10 @@ def wedge(alpha: KForm, beta: KForm) -> KForm:
     out: dict = {}
     for t1, c1 in alpha.coeffs.items():
         for t2, c2 in beta.coeffs.items():
-            ms = _merge_sign(t1, t2)
-            if ms is None:
+            srt = _sort_with_sign(t1 + t2)
+            if srt is None:
                 continue
-            sign, merged = ms
+            sign, merged = srt
             _acc(out, merged, (c1 * c2) * float(sign))
     return KForm(alpha.d, deg, _prune(out))
 
@@ -363,21 +342,19 @@ def pullback(dmap: DiscreteMap, omega: KForm) -> KForm:
     return KForm(grid.d, k, out)
 
 
-def antisym_matrix_rep(omega: KForm, grid: Grid | None = None) -> TensorField:
-    """Matrix of a 2-form: entry (m, n) = coefficient of dx_m^dx_n / 2."""
+def antisym_matrix_rep(omega: KForm) -> TensorField:
+    """Matrix of a grid 2-form: entry (m, n) = coefficient of dx_m^dx_n / 2."""
     if omega.degree != 2:
         raise ValueError("matrix representation needs a 2-form")
-    grid = grid or omega.grid
+    grid = omega.grid
     if grid is None:
-        raise ValueError("need a grid (analytic form: pass one explicitly)")
+        raise ValueError("matrix representation needs grid coefficients")
     d = omega.d
     zero = np.zeros(grid.dims)
     arr = [[zero for _ in range(d)] for _ in range(d)]
     for (m, n), c in omega.coeffs.items():
-        vals = c.values if isinstance(c, ScalarField) else \
-            c.sample([grid.axis_coords(a) for a in range(grid.d)])
-        arr[m - 1][n - 1] = 0.5 * vals
-        arr[n - 1][m - 1] = -0.5 * vals
+        arr[m - 1][n - 1] = 0.5 * c.values
+        arr[n - 1][m - 1] = -0.5 * c.values
     rows = tuple(tuple(ScalarField(grid, arr[r][c]) for c in range(d))
                  for r in range(d))
     return TensorField(grid, rows)

@@ -2,8 +2,8 @@
 
 Scalar/vector/tensor fields on d-dimensional periodic boxes with
 4th-order centered finite differences, 4-point Lagrange interpolation,
-and a registry of closed-form fields with exact derivatives (backed by
-:class:`rsflow.trig.TrigPoly`).
+and the steady Taylor-Green cell as exact
+:class:`rsflow.trig.TrigPoly` components.
 
 Conventions: values are stored row-major (C order) with axis 1 slowest;
 the default box length is 2*pi per axis so integer wavenumbers are
@@ -46,8 +46,8 @@ class Grid:
                 length = length * len(dims)
         if len(length) != len(dims):
             raise ValueError("length must have one entry per axis")
-        if any(x <= 0 for x in length):
-            raise ValueError("box lengths must be positive")
+        if not all(0 < x < math.inf for x in length):
+            raise ValueError(f"box lengths must be positive and finite, got {length}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "length", length)
 
@@ -73,11 +73,6 @@ class Grid:
 
     def axis_coords(self, axis: int) -> np.ndarray:
         return np.arange(self.dims[axis]) * self.spacing[axis]
-
-    def coords(self) -> list:
-        """Sparse meshgrid-style coordinate arrays."""
-        return list(np.meshgrid(*[self.axis_coords(a) for a in range(self.d)],
-                                indexing="ij", sparse=True))
 
     def points(self) -> np.ndarray:
         """All node coordinates, shape dims + (d,)."""
@@ -105,10 +100,6 @@ class ScalarField:
     @classmethod
     def zeros(cls, grid: Grid) -> "ScalarField":
         return cls(grid, np.zeros(grid.dims))
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "ScalarField":
-        return cls(grid, fn(*grid.coords()) * np.ones(grid.dims))
 
     def diff(self, axis: int) -> "ScalarField":
         return partial_derivative(self, axis)
@@ -269,7 +260,7 @@ def gradient_tensor(u: VectorField) -> TensorField:
 # interpolation
 # ----------------------------------------------------------------------
 
-def _lagrange4_weights(t):
+def lagrange4_weights(t):
     """Cubic Lagrange weights for nodes at offsets -1, 0, 1, 2."""
     return (
         -t * (t - 1.0) * (t - 2.0) / 6.0,
@@ -307,7 +298,7 @@ class Interpolator:
             i0 = np.floor(s).astype(np.int64)
             t = s - i0
             self._idx.append([np.mod(i0 + o, n) * stride for o in (-1, 0, 1, 2)])
-            self._w.append(_lagrange4_weights(t))
+            self._w.append(lagrange4_weights(t))
 
     def __call__(self, values) -> np.ndarray:
         """Interpolate fields of shape ``extra + grid.dims``; returns
@@ -340,65 +331,12 @@ def interpolate(f: ScalarField, point) -> float | np.ndarray:
     return float(res[0]) if scalar else res
 
 
-# ----------------------------------------------------------------------
-# analytic fields
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AnalyticField:
-    """Closed-form vector field with exact derivatives."""
-
-    name: str
-    components: tuple  # TrigPoly per component
-    pressure: TrigPoly = None
-
-    @property
-    def d(self) -> int:
-        return self.components[0].d
-
-    @property
-    def ncomp(self) -> int:
-        return len(self.components)
-
-    def evaluate(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return np.stack([c.eval(pts) for c in self.components], axis=-1)
-
-    def derivative(self, points, axis: int) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return np.stack([c.diff(axis).eval(pts) for c in self.components], axis=-1)
-
-    def sample_component(self, grid: Grid, i: int) -> ScalarField:
-        axes = [grid.axis_coords(a) for a in range(grid.d)]
-        return ScalarField(grid, self.components[i].sample(axes))
-
-    def sample(self, grid: Grid) -> VectorField:
-        return VectorField(grid, tuple(self.sample_component(grid, i)
-                                       for i in range(self.ncomp)))
-
-
-def analytic_registry(name: str, seed: int = 0, kmax: int = 2, d: int = 3) -> AnalyticField:
-    """Closed-form fields used as exact test beds.
-
-    Names: ``taylor_green_2d``, ``rigid_rotation``, ``trig_random``,
-    ``band_limited_random``.
-    """
-    if name == "taylor_green_2d":
-        u1 = TrigPoly.sin(2, (1, 0)) * TrigPoly.cos(2, (0, 1))
-        u2 = -1.0 * TrigPoly.cos(2, (1, 0)) * TrigPoly.sin(2, (0, 1))
-        pressure = 0.25 * (TrigPoly.cos(2, (2, 0)) + TrigPoly.cos(2, (0, 2)))
-        return AnalyticField(name, (u1, u2), pressure)
-    if name == "rigid_rotation":
-        return AnalyticField(name, (-1.0 * TrigPoly.sin(2, (0, 1)),
-                                    TrigPoly.sin(2, (1, 0))))
-    if name == "trig_random":
-        rng = np.random.default_rng(seed)
-        return AnalyticField(name, (TrigPoly.random(d, kmax, rng),))
-    if name == "band_limited_random":
-        rng = np.random.default_rng(seed)
-        comps = tuple(TrigPoly.band_limited(d, kmax, rng) for _ in range(d))
-        return AnalyticField(name, comps)
-    raise ValueError(f"unknown analytic field {name!r}")
+def taylor_green_2d() -> tuple:
+    """Steady 2D Taylor-Green cell (u1, u2, p), an exact Euler solution."""
+    u1 = TrigPoly.sin(2, (1, 0)) * TrigPoly.cos(2, (0, 1))
+    u2 = -1.0 * TrigPoly.cos(2, (1, 0)) * TrigPoly.sin(2, (0, 1))
+    p = 0.25 * (TrigPoly.cos(2, (2, 0)) + TrigPoly.cos(2, (0, 2)))
+    return u1, u2, p
 
 
 def restrict(f: ScalarField, coarse: Grid) -> ScalarField:

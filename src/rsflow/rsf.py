@@ -10,11 +10,11 @@ antisymmetric matrix into pure-rotation planes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import KForm, exterior_derivative, form_from_velocity
+from .exterior import KForm, exterior_derivative
 from .fields import ScalarField, TensorField, VectorField, derivative
 
 __all__ = [

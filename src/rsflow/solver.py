@@ -24,24 +24,22 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import rsff
-from .fields import (TWO_PI, Grid, ScalarField, VectorField, analytic_registry,
-                     derivative, second_derivative)
+from .fields import (TWO_PI, Grid, ScalarField, VectorField, derivative,
+                     second_derivative, taylor_green_2d)
 from .rsf import check_rsf, zero_pattern
+from .trig import TrigPoly
 
 log = logging.getLogger(__name__)
 
 MODES = ("constrained", "free", "kinematic_tg")
 RHO_FLOOR = 0.2
 U3_GRADIENT_ABORT = 20.0  # max |d3 u3| before self-steepening counts as blown up
-
-CONFIG_KEYS = ("mode", "c", "nu", "cfl", "t_end", "snapshot_stride",
-               "seed", "kmax", "amplitude", "dims", "length")
 
 
 @dataclass(frozen=True)
@@ -61,12 +59,22 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.c <= 0:
             raise ValueError("sound speed must be positive")
         if not 0 < self.cfl < 1:
             raise ValueError("cfl must be in (0, 1)")
         if self.nu < 0:
             raise ValueError("viscosity must be >= 0")
+        if self.t_end <= 0:
+            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if self.amplitude < 0:
+            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
+        if self.snapshot_stride < 1:
+            raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
         dims = tuple(int(n) for n in np.atleast_1d(np.asarray(self.dims)))
         if len(dims) == 1:
             dims = dims * 3
@@ -79,8 +87,16 @@ class SolverConfig:
         object.__setattr__(self, "length", length)
 
 
+def _parse_value(default, text: str):
+    """``text`` as the type of ``default``, element-wise for a tuple."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(x) for x in text.split(","))
+    return type(default)(text)
+
+
 def parse_config(text: str) -> SolverConfig:
-    """Flat key=value config; unknown keys are rejected."""
+    """Flat key=value config over SolverConfig's fields; unknown keys are rejected."""
+    defaults = {f.name: f.default for f in fields(SolverConfig)}
     kw = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -89,27 +105,19 @@ def parse_config(text: str) -> SolverConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in defaults:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key == "mode":
-            kw[key] = val
-        elif key in ("snapshot_stride", "seed", "kmax"):
-            kw[key] = int(val)
-        elif key == "dims":
-            kw[key] = tuple(int(x) for x in val.split(","))
-        elif key == "length":
-            kw[key] = tuple(float(x) for x in val.split(","))
-        else:
-            kw[key] = float(val)
+        kw[key] = _parse_value(defaults[key], val)
     return SolverConfig(**kw)
 
 
 def format_config(cfg: SolverConfig) -> str:
-    lines = [f"mode={cfg.mode}", f"c={cfg.c}", f"nu={cfg.nu}", f"cfl={cfg.cfl}",
-             f"t_end={cfg.t_end}", f"snapshot_stride={cfg.snapshot_stride}",
-             f"seed={cfg.seed}", f"kmax={cfg.kmax}", f"amplitude={cfg.amplitude}",
-             "dims=" + ",".join(str(n) for n in cfg.dims),
-             "length=" + ",".join(repr(x) for x in cfg.length)]
+    lines = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, tuple):
+            value = ",".join(str(x) for x in value)
+        lines.append(f"{f.name}={value}")
     return "\n".join(lines) + "\n"
 
 
@@ -148,18 +156,15 @@ def init_random(cfg: SolverConfig) -> FlowState:
     grid3, grid2 = _grids(cfg)
     ax2 = [grid2.axis_coords(a) for a in range(2)]
     ax3 = [grid3.axis_coords(a) for a in range(3)]
-    uh = analytic_registry("band_limited_random", seed=cfg.seed, kmax=cfg.kmax, d=2)
-    u1 = cfg.amplitude * uh.components[0].sample(ax2)
-    u2 = cfg.amplitude * uh.components[1].sample(ax2)
-    w3 = analytic_registry("band_limited_random", seed=cfg.seed + 1, kmax=cfg.kmax, d=3)
-    u3 = cfg.amplitude * w3.components[0].sample(ax3)
-    if cfg.mode == "free":
-        pert = analytic_registry("band_limited_random", seed=cfg.seed + 2,
-                                 kmax=cfg.kmax, d=3).components[1].sample(ax3)
-    else:
-        pert = analytic_registry("band_limited_random", seed=cfg.seed + 2,
-                                 kmax=cfg.kmax, d=2).components[1].sample(ax2)
-    rho = 1.0 + cfg.amplitude * pert
+    rng = np.random.default_rng(cfg.seed)
+    u1, u2 = (cfg.amplitude * TrigPoly.band_limited(2, cfg.kmax, rng).sample(ax2)
+              for _ in range(2))
+    rng = np.random.default_rng(cfg.seed + 1)
+    u3 = cfg.amplitude * TrigPoly.band_limited(3, cfg.kmax, rng).sample(ax3)
+    axp = ax3 if cfg.mode == "free" else ax2
+    rng = np.random.default_rng(cfg.seed + 2)
+    _, pert = (TrigPoly.band_limited(len(axp), cfg.kmax, rng) for _ in range(2))
+    rho = 1.0 + cfg.amplitude * pert.sample(axp)
     if np.min(rho) < RHO_FLOOR:
         log.warning("density clipped to floor %.2f (amplitude %.3g too large)",
                     RHO_FLOOR, cfg.amplitude)
@@ -169,14 +174,13 @@ def init_random(cfg: SolverConfig) -> FlowState:
 
 def init_kinematic_tg(cfg: SolverConfig) -> FlowState:
     grid3, grid2 = _grids(cfg)
-    tg = analytic_registry("taylor_green_2d")
+    u1, u2, _ = taylor_green_2d()
     ax2 = [grid2.axis_coords(a) for a in range(2)]
     ax3 = [grid3.axis_coords(a) for a in range(3)]
-    u1 = tg.components[0].sample(ax2)
-    u2 = tg.components[1].sample(ax2)
-    w3 = analytic_registry("band_limited_random", seed=cfg.seed, kmax=cfg.kmax, d=3)
-    u3 = cfg.amplitude * w3.components[0].sample(ax3)
-    return FlowState(grid3, grid2, u1, u2, u3, np.ones(grid2.dims), 0.0)
+    rng = np.random.default_rng(cfg.seed)
+    u3 = cfg.amplitude * TrigPoly.band_limited(3, cfg.kmax, rng).sample(ax3)
+    return FlowState(grid3, grid2, u1.sample(ax2), u2.sample(ax2), u3,
+                     np.ones(grid2.dims), 0.0)
 
 
 def init_state(cfg: SolverConfig) -> FlowState:
@@ -354,7 +358,7 @@ def run_simulation(cfg: SolverConfig, outdir=None,
     """
     state = init_state(cfg)
     dt0 = cfl_dt(state, cfg)
-    stride = max(1, cfg.snapshot_stride)
+    stride = cfg.snapshot_stride
     nsteps = max(stride, int(math.ceil(cfg.t_end / dt0)))
     nsteps = stride * int(math.ceil(nsteps / stride))
     dt = cfg.t_end / nsteps

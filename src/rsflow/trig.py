@@ -72,7 +72,7 @@ class TrigPoly:
         return cls.harmonic(d, k, amplitude)
 
     @classmethod
-    def random(cls, d, kmax, rng, nterms=3, axes=None, amplitude=1.0) -> "TrigPoly":
+    def random(cls, d, kmax, rng, nterms=3, axes=None) -> "TrigPoly":
         """Sum of ``nterms`` random harmonics with |k|_inf <= kmax.
 
         ``axes`` (0-based) restricts which coordinates the wavevectors may
@@ -85,7 +85,7 @@ class TrigPoly:
             while not any(k):
                 for a in axes:
                     k[a] = int(rng.integers(-kmax, kmax + 1))
-            amp = amplitude * float(rng.normal()) / nterms
+            amp = float(rng.normal()) / nterms
             out = out + cls.harmonic(d, k, amp, phase=float(rng.uniform(0, 2 * math.pi)))
         return out
 

@@ -13,20 +13,22 @@ same statement through independent machinery.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from . import rsff
 from .exterior import (DiscreteMap, KForm, exterior_derivative,
-                       form_from_velocity, interior_product,
                        lie_derivative_cartan, lie_derivative_components,
                        pullback, wedge)
 from .fields import (Grid, Interpolator, ScalarField, TensorField, VectorField,
-                     derivative, restrict)
-from .rsf import DecompPlan, component_vorticities, decomposition_plan
-from .solver import SimulationResult
+                     derivative, lagrange4_weights, restrict)
+from .rsf import component_vorticities, decomposition_plan
+from .solver import SimulationResult, SolverConfig, run_simulation
 from .trig import TrigPoly
 
 __all__ = [
@@ -41,16 +43,16 @@ __all__ = [
 # velocity histories
 # ----------------------------------------------------------------------
 
-def _lagrange_weights(ts, t):
-    """Lagrange weights for the 4 nodes ``ts`` at time ``t``."""
-    w = []
-    for i in range(4):
-        num = 1.0
-        for j in range(4):
-            if j != i:
-                num *= (t - ts[j]) / (ts[i] - ts[j])
-        w.append(num)
-    return w
+def _check_snapshot(name, comps, grid: Grid) -> None:
+    """A history snapshot is 3 velocity components on a 3D grid."""
+    if grid.d != 3:
+        raise ValueError(f"{name}: velocity history needs a 3D grid, got {grid.d}D")
+    if len(comps) != 3:
+        raise ValueError(f"{name}: needs 3 velocity components, got {len(comps)}")
+    for c, values in enumerate(comps):
+        if np.shape(values) != grid.dims:
+            raise ValueError(f"{name}: u{c + 1} has shape {np.shape(values)}, "
+                             f"grid dims are {grid.dims}")
 
 
 class VelocityHistory:
@@ -70,6 +72,9 @@ class VelocityHistory:
         self.snapshots = [list(s) for s in snapshots]
         if len(self.snapshots) != len(times):
             raise ValueError("times/snapshots length mismatch")
+        for i, comps in enumerate(self.snapshots):
+            _check_snapshot(f"snapshot {i}", comps, grid)
+        self.dt = times[1] - times[0]
         self._steady = [all(np.array_equal(s[c], self.snapshots[0][c])
                             for s in self.snapshots) for c in range(3)]
         h, first = grid.spacing, self.snapshots[0]
@@ -83,17 +88,20 @@ class VelocityHistory:
 
     @classmethod
     def from_rsff_dir(cls, path) -> "VelocityHistory":
-        from pathlib import Path
-        from . import rsff
         files = sorted(Path(path).glob("snap_*.rsff"))
         if not files:
             raise ValueError(f"no snap_*.rsff files in {path}")
         times, snaps, grid = [], [], None
         for f in files:
             vf, t = rsff.read_field(f)
-            grid = vf.grid
+            grid = grid or vf.grid
+            if vf.grid != grid:
+                raise ValueError(f"{f}: grid {vf.grid.dims} differs from "
+                                 f"{files[0].name}'s {grid.dims}")
+            comps = [c.values for c in vf.components]
+            _check_snapshot(f, comps, grid)
             times.append(t)
-            snaps.append([c.values for c in vf.components])
+            snaps.append(comps)
         return cls(grid, times, snaps)
 
     @property
@@ -107,17 +115,15 @@ class VelocityHistory:
     def velocity_field(self, index: int) -> VectorField:
         return VectorField.from_arrays(self.grid, self.snapshots[index])
 
-    def _window(self, t):
-        n = len(self.times)
-        j = int(np.searchsorted(self.times, t)) - 2
-        j = max(0, min(j, n - 4))
-        return j
-
     def velocity_at(self, t: float) -> np.ndarray:
         """Velocity and its gradient at time t as one (12,) + dims stack:
-        row c is u_c and row 3 + 3k + c is du_c/dx_k."""
-        j = self._window(t)
-        w = _lagrange_weights(self.times[j:j + 4], t)
+        row c is u_c and row 3 + 3k + c is du_c/dx_k.
+
+        Cubic Lagrange in time over the 4 snapshots j..j+3 around t.
+        """
+        j = int(np.searchsorted(self.times, t)) - 2
+        j = max(0, min(j, len(self.times) - 4))
+        w = lagrange4_weights((t - self.times[j + 1]) / self.dt)
         out = np.empty((12,) + self.grid.dims)
         grads = out[3:].reshape((3, 3) + self.grid.dims)
         h = self.grid.spacing
@@ -223,51 +229,50 @@ def pullback_error(omega_t1: KForm, flow_map: FlowMap, omega_t0: KForm) -> dict:
             "l2_normalized": diff.l2() / ref_l2 if ref_l2 else math.inf}
 
 
-def residual_forms(history: VelocityHistory, forms: list) -> tuple:
-    """(times, residual KForms) at interior snapshots:
-    centered d/dt of the form plus its Lie derivative along u."""
-    if len(forms) != len(history.times):
-        raise ValueError("form series misaligned with history times")
-    dt = history.times[1] - history.times[0]
-    times, out = [], []
-    for m in range(1, len(forms) - 1):
-        dform = (forms[m + 1] - forms[m - 1]).scale(1.0 / (2.0 * dt))
-        u = history.velocity_field(m)
-        out.append(dform + lie_derivative_cartan(u, forms[m]))
-        times.append(history.times[m])
-    return times, out
+def _lie_residual_terms(u, forms, dt: float) -> tuple:
+    """The two terms of the residual of d/dt f + L_u f = 0 at the middle
+    of ``forms = (f(t - dt), f(t), f(t + dt))``: the centred time
+    difference and the Lie derivative along u."""
+    before, now, after = forms
+    return ((after - before).scale(1.0 / (2.0 * dt)),
+            lie_derivative_cartan(u, now))
 
 
 def residual_pde(history: VelocityHistory, component_series: list) -> dict:
     """Per-component residual norms plus the operator-linearity check.
 
     ``component_series[i]`` is the time series of component i, aligned
-    with the history.  The linearity discrepancy compares the residual of
-    the summed form against the sum of the component residuals, relative
-    to the magnitude of the operator terms themselves (the residual is a
-    near-cancelling difference, so normalizing by it would measure
-    cancellation rather than linearity).
+    with the history; residuals are taken at the interior snapshots.  The
+    linearity discrepancy compares the residual of the summed form against
+    the sum of the component residuals, relative to the magnitude of the
+    operator terms themselves (the residual is a near-cancelling
+    difference, so normalizing by it would measure cancellation rather
+    than linearity).
     """
+    if any(len(series) != len(history.times) for series in component_series):
+        raise ValueError("form series misaligned with history times")
+    interior = range(1, len(history.times) - 1)
+    velocities = [history.velocity_field(m) for m in interior]
+
+    def terms(series):
+        return [_lie_residual_terms(u, series[m - 1:m + 2], history.dt)
+                for u, m in zip(velocities, interior)]
+
     per_component = []
     stacked = None
     for series in component_series:
-        times, res = residual_forms(history, series)
+        res = [dform + lie for dform, lie in terms(series)]
         per_component.append({
-            "times": times,
+            "times": [history.times[m] for m in interior],
             "linf": [r.max_abs() for r in res],
             "l2": [r.l2() for r in res],
         })
         stacked = res if stacked is None else [a + b for a, b in zip(stacked, res)]
     total_series = [sum(forms[1:], forms[0]) for forms in zip(*component_series)]
-    dt = history.times[1] - history.times[0]
-    total_res = []
-    scale = 1e-300
-    for m in range(1, len(total_series) - 1):
-        dform = (total_series[m + 1] - total_series[m - 1]).scale(1.0 / (2.0 * dt))
-        lie = lie_derivative_cartan(history.velocity_field(m), total_series[m])
-        total_res.append(dform + lie)
-        scale = max(scale, dform.max_abs(), lie.max_abs())
-    lin = max((a - b).max_abs() for a, b in zip(total_res, stacked)) / scale
+    total_terms = terms(total_series)
+    scale = max([1e-300] + [t.max_abs() for pair in total_terms for t in pair])
+    lin = max((dform + lie - s).max_abs()
+              for (dform, lie), s in zip(total_terms, stacked)) / scale
     return {"components": per_component, "linearity_rel_discrepancy": lin}
 
 
@@ -275,14 +280,13 @@ def residual_pde(history: VelocityHistory, component_series: list) -> dict:
 # closed-form identity checks
 # ----------------------------------------------------------------------
 
-def _random_form(d, degree, rng, kmax=2, axes=None, nterms=2):
-    import itertools as it
-    pool = list(it.combinations(range(1, d + 1) if axes is None
-                                else [a + 1 for a in axes], degree))
+def _random_form(d, degree, rng, axes=None):
+    pool = list(itertools.combinations(range(1, d + 1) if axes is None
+                                       else [a + 1 for a in axes], degree))
     rng.shuffle(pool)
     coeffs = {}
     for tup in pool[:min(3, len(pool))]:
-        coeffs[tup] = TrigPoly.random(d, kmax, rng, nterms=nterms, axes=axes)
+        coeffs[tup] = TrigPoly.random(d, 2, rng, nterms=2, axes=axes)
     return KForm(d, degree, coeffs)
 
 
@@ -311,7 +315,7 @@ def lemma1_check(d: int, k: int, seed: int, violate: bool = False) -> float:
     return (full - trunc).max_abs()
 
 
-def identity_suite(dims=range(3, 9), seeds=20, kmax=2) -> dict:
+def identity_suite(dims=range(3, 9), seeds=20) -> dict:
     """Machine-precision identity battery on random closed-form fields.
 
     Returns the worst discrepancy per identity over all dimensions/seeds:
@@ -323,9 +327,9 @@ def identity_suite(dims=range(3, 9), seeds=20, kmax=2) -> dict:
     for d in dims:
         for seed in range(seeds):
             rng = np.random.default_rng(10_000 * d + seed)
-            u = [TrigPoly.random(d, kmax, rng) for _ in range(d)]
-            omega1 = _random_form(d, 1, rng, kmax)
-            omega2 = _random_form(d, 2, rng, kmax)
+            u = [TrigPoly.random(d, 2, rng) for _ in range(d)]
+            omega1 = _random_form(d, 1, rng)
+            omega2 = _random_form(d, 2, rng)
             worst["dd_zero"] = max(
                 worst["dd_zero"],
                 exterior_derivative(exterior_derivative(omega1)).max_abs(),
@@ -372,24 +376,21 @@ def frozen_in_errors(history: VelocityHistory,
             "omega_rest": pullback_error(omegas_t1[1], fmap, omegas_t0[1])}
 
 
-def kinematic_frozen_case(n: int, seed: int = 11, kmax: int = 1,
-                          amplitude: float = 0.3, t_end: float = 1.0,
+def kinematic_frozen_case(n: int, seed: int = 11,
                           wrong_velocity: bool = False) -> dict:
     """One manufactured frozen-in run at resolution n^3.
 
-    Integrates the kinematic Taylor-Green scenario, advects the flow map
-    over the full interval and reports normalized pullback errors of the
+    Integrates the kinematic Taylor-Green scenario to t = 1 (u3 of
+    amplitude 0.3 with wavenumbers up to 1), advects the flow map over the
+    full interval and reports normalized pullback errors of the
     horizontal component 2-form and of the remainder component.
 
     ``wrong_velocity`` advects the map with the horizontal field negated
     (the transport is then wrong for the same forms): the negative
     control.
     """
-    from .solver import SolverConfig, run_simulation
-
-    cfg = SolverConfig(mode="kinematic_tg", dims=(n, n, n), t_end=t_end,
-                       snapshot_stride=2, seed=seed, kmax=kmax,
-                       amplitude=amplitude)
+    cfg = SolverConfig(mode="kinematic_tg", dims=(n, n, n), t_end=1.0,
+                       snapshot_stride=2, seed=seed, kmax=1, amplitude=0.3)
     result = run_simulation(cfg, keep_history=True)
     history = VelocityHistory.from_result(result)
     transport = history
@@ -427,7 +428,7 @@ class VerificationReport:
                            "extras": self.extras}, indent=2)
 
 
-def frozen_convergence_study(resolutions=(32, 64, 128), **case_kwargs) -> VerificationReport:
+def frozen_convergence_study(resolutions=(32, 64, 128)) -> VerificationReport:
     """Manufactured frozen-in convergence across nested resolutions."""
     res = sorted(resolutions)
     if len(res) < 3:
@@ -438,7 +439,7 @@ def frozen_convergence_study(resolutions=(32, 64, 128), **case_kwargs) -> Verifi
     report = VerificationReport("kinematic_tg_frozen", list(res))
     errs_h, errs_rest = [], []
     for n in res:
-        case = kinematic_frozen_case(n, **case_kwargs)
+        case = kinematic_frozen_case(n)
         errs_h.append(case["omega_h"]["l2_normalized"])
         errs_rest.append(case["omega_rest"]["l2_normalized"])
     report.metrics["omega_h_l2_normalized"] = errs_h
@@ -485,23 +486,20 @@ def wedge_invariant_study(resolutions=(12, 24, 48)) -> VerificationReport:
     for n in resolutions:
         grid4 = Grid.cube(4, n)
         dt = 0.5 * (12.0 / n) ** 2
-        u = _boosted_double_tg(grid4, 0.0)
         plan = decomposition_plan(4)
-        omegas = {s: component_vorticities(_boosted_double_tg(grid4, s * dt), plan)
-                  for s in (-1, 0, 1)}
-        omegas[0] = component_vorticities(u, plan)
-        res = [(omegas[1][i] - omegas[-1][i]).scale(1.0 / (2.0 * dt))
-               + lie_derivative_cartan(u, omegas[0][i]) for i in range(2)]
-        w12 = {s: wedge(omegas[s][0], omegas[s][1]) for s in (-1, 0, 1)}
-        res_w = (w12[1] - w12[-1]).scale(1.0 / (2.0 * dt)) \
-            + lie_derivative_cartan(u, w12[0])
+        vel = [_boosted_double_tg(grid4, s * dt) for s in (-1, 0, 1)]
+        omegas = [component_vorticities(v, plan) for v in vel]
+        res = []
+        for forms in ([o[0] for o in omegas], [o[1] for o in omegas],
+                      [wedge(o[0], o[1]) for o in omegas]):
+            dform, lie = _lie_residual_terms(vel[1], forms, dt)
+            res.append((dform + lie).max_abs())
+        r1s.append(res[0])
+        r2s.append(res[1])
+        rws.append(res[2])
         # merge-combinatorics constant for a 2-form wedge in d=4
-        leib = 6.0 * (res[0].max_abs() * omegas[0][1].max_abs()
-                      + omegas[0][0].max_abs() * res[1].max_abs())
-        r1s.append(res[0].max_abs())
-        r2s.append(res[1].max_abs())
-        rws.append(res_w.max_abs())
-        bounds.append(leib)
+        bounds.append(6.0 * (res[0] * omegas[1][1].max_abs()
+                             + omegas[1][0].max_abs() * res[1]))
     report.metrics.update({"residual_1": r1s, "residual_2": r2s,
                            "residual_wedge": rws, "leibniz_bound": bounds})
     report.orders["residual_1"] = fit_order(resolutions, r1s)

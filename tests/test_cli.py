@@ -158,3 +158,29 @@ def test_bad_field_file_is_a_one_line_error(command, kind, tmp_path, capsys):
 def test_verify_frozen_without_snapshots_is_a_one_line_error(tmp_path, capsys):
     assert main(["verify-frozen", "--snapshots", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: no snap_*.rsff files in {tmp_path}\n"
+
+
+@pytest.mark.parametrize("kind", ["3d_two_components", "2d_three_components",
+                                  "mixed_grids"])
+def test_verify_frozen_rejects_bad_snapshot_sets(kind, tmp_path, capsys):
+    grids = {"3d_two_components": [Grid.cube(3, 8)] * 3,
+             "2d_three_components": [Grid((8, 8))] * 3,
+             "mixed_grids": [Grid.cube(3, 8)] * 2 + [Grid.cube(3, 16)]}[kind]
+    ncomp = 2 if kind == "3d_two_components" else 3
+    for i, g in enumerate(grids):
+        rsff.write_field(tmp_path / f"snap_{i:04d}.rsff",
+                         VectorField.from_arrays(g, [np.zeros(g.dims)] * ncomp),
+                         0.1 * i)
+    assert main(["verify-frozen", "--snapshots", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    bad = "snap_0002.rsff" if kind == "mixed_grids" else "snap_0000.rsff"
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert bad in err
+
+
+def test_simulate_rejects_bad_config_values(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("mode=constrained\ndims=16,16,8\nt_end=-1\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: t_end must be positive, got -1.0\n"

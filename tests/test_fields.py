@@ -1,12 +1,12 @@
-"""Grids, finite differences, interpolation, and the analytic registry."""
+"""Grids, finite differences, interpolation, and closed-form test fields."""
 
 import numpy as np
 import pytest
 
 from rsflow.fields import (Grid, Interpolator, ScalarField, VectorField,
-                           analytic_registry, derivative, divergence,
-                           gradient_tensor, interpolate, partial_derivative,
-                           restrict, second_derivative)
+                           derivative, divergence, gradient_tensor, interpolate,
+                           partial_derivative, restrict, second_derivative,
+                           taylor_green_2d)
 from rsflow.trig import TrigPoly
 
 
@@ -29,6 +29,12 @@ def test_grid_defaults_to_2pi_box():
 def test_grid_rejects_tiny_dims():
     with pytest.raises(ValueError):
         Grid((4, 16))
+
+
+@pytest.mark.parametrize("length", [0.0, -1.0, np.inf, np.nan])
+def test_grid_rejects_bad_lengths(length):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Grid((16, 16), (6.0, length))
 
 
 def test_grid_cube_and_points_shape():
@@ -171,44 +177,27 @@ def test_interpolation_wraps_periodically():
 
 
 # ----------------------------------------------------------------------
-# analytic registry
+# closed-form fields
 # ----------------------------------------------------------------------
 
 def test_taylor_green_is_steady_euler_solution():
     # u . grad u + grad p = 0 exactly, checked in the trig algebra
-    tg = analytic_registry("taylor_green_2d")
-    u1, u2 = tg.components
-    p = tg.pressure
+    u1, u2, p = taylor_green_2d()
     for c, comp in enumerate((u1, u2)):
         residual = u1 * comp.diff(0) + u2 * comp.diff(1) + p.diff(c)
         assert residual.max_abs() <= 1e-15
 
 
 def test_taylor_green_is_divergence_free():
-    tg = analytic_registry("taylor_green_2d")
-    assert (tg.components[0].diff(0) + tg.components[1].diff(1)).max_abs() <= 1e-15
-
-
-def test_registry_band_limited_is_seeded():
-    a = analytic_registry("band_limited_random", seed=3, kmax=2, d=3)
-    b = analytic_registry("band_limited_random", seed=3, kmax=2, d=3)
-    g = Grid.cube(3, 8)
-    assert np.array_equal(a.sample(g).components[0].values,
-                          b.sample(g).components[0].values)
-
-
-def test_registry_unknown_name():
-    with pytest.raises(ValueError):
-        analytic_registry("vortex_soup")
+    u1, u2, _ = taylor_green_2d()
+    assert (u1.diff(0) + u2.diff(1)).max_abs() <= 1e-15
 
 
 def test_analytic_field_derivative_matches_fd():
-    f = analytic_registry("band_limited_random", seed=0, kmax=2, d=2)
+    f = TrigPoly.band_limited(2, 2, np.random.default_rng(0))
     g = Grid.cube(2, 128)
-    fd = partial_derivative(f.sample_component(g, 0), 1)
-    exact = ScalarField(g, f.components[0].diff(1).sample(
-        [g.axis_coords(a) for a in range(2)]))
-    assert (fd - exact).max_abs() <= 1e-5
+    fd = partial_derivative(_sample(f, g), 1)
+    assert (fd - _sample(f.diff(1), g)).max_abs() <= 1e-5
 
 
 # ----------------------------------------------------------------------

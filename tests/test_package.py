@@ -16,3 +16,14 @@ def test_no_private_names_imported_across_modules():
                               for alias in node.names
                               if alias.name.startswith("_")]
     assert not offenders, offenders
+
+
+def test_imports_are_at_module_level():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                offenders += [f"{path.name}:{node.lineno} in {fn.name}()"
+                              for node in ast.walk(fn)
+                              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not offenders, offenders

@@ -1,5 +1,7 @@
 """Solver: configuration, modes, conservation, determinism, failure modes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,12 @@ def test_config_rejects_missing_equals():
 
 @pytest.mark.parametrize("kw", [dict(mode="implicit"), dict(c=-1.0),
                                 dict(cfl=1.5), dict(nu=-0.1),
-                                dict(dims=(16, 16))])
+                                dict(dims=(16, 16)), dict(t_end=-1.0),
+                                dict(t_end=0.0), dict(t_end=np.inf),
+                                dict(c=np.inf), dict(c=np.nan),
+                                dict(amplitude=np.nan), dict(nu=np.nan),
+                                dict(cfl=np.nan), dict(amplitude=-0.1),
+                                dict(snapshot_stride=0)])
 def test_config_validation(kw):
     with pytest.raises(ValueError):
         SolverConfig(**kw)
@@ -142,6 +149,24 @@ def test_self_steepening_abort():
                        amplitude=40.0, kmax=1)
     with pytest.raises(RuntimeError, match="self-steepening"):
         run_simulation(cfg, keep_history=False)
+
+
+def test_viscous_term_damps_a_single_mode():
+    # u3 = sin x1 alone: advection vanishes, so du3 is nu times the
+    # 4th-order Laplacian of u3, which is -u3 up to h^4 / 90
+    nu = 0.05
+    cfg = SolverConfig(mode="constrained", nu=nu, dims=(16, 8, 8))
+    state = init_state(cfg)
+    x1 = state.grid3.axis_coords(0)[:, None, None]
+    state = replace(state, u1=np.zeros(state.grid2.dims),
+                    u2=np.zeros(state.grid2.dims),
+                    u3=np.sin(x1) * np.ones(state.grid3.dims),
+                    rho=np.ones(state.grid2.dims))
+    du1, du2, du3, drho = rhs(state, cfg)
+    assert not np.any(du1) and not np.any(du2) and not np.any(drho)
+    h = state.grid3.spacing[0]
+    err = np.max(np.abs(du3 + nu * state.u3))
+    assert 0 < err <= nu * h ** 4 / 90 * 1.01
 
 
 def test_diagnostics_energy_positive():
