@@ -5,7 +5,7 @@ decomposition, a barotropic box solver, and the frozen-in verification
 harness.
 """
 
-from .fields import (Grid, ScalarField, TensorField, VectorField, divergence,
+from .fields import (Grid, ScalarField, VectorField, divergence,
                      gradient_tensor, interpolate, partial_derivative,
                      taylor_green_2d)
 from .exterior import (DiscreteMap, KForm, antisym_matrix_rep,

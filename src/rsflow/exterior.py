@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (Grid, Interpolator, ScalarField, TensorField, VectorField)
+from .fields import Grid, Interpolator, ScalarField, VectorField
 from .trig import TrigPoly
 
 __all__ = [
@@ -280,29 +280,34 @@ def lie_derivative_components(u, omega: KForm) -> KForm:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMap:
-    """Sampled map Phi with Jacobian: images and entry (r,c) = dPhi_c/da_r."""
+    """Sampled map Phi: images, and the Jacobian as one ``dims + (d, d)``
+    array with ``[..., r, c] = dPhi_c/da_r``."""
 
     grid: Grid
     images: VectorField
-    jacobian: TensorField
+    jacobian: np.ndarray
 
     def __post_init__(self):
         d = self.grid.d
         if self.images.ncomp != d:
             raise ValueError("map images must have d components")
-        if (self.jacobian.rows, self.jacobian.cols) != (d, d):
-            raise ValueError("jacobian must be d x d")
+        jac = np.asarray(self.jacobian, dtype=np.float64)
+        if jac.shape != self.grid.dims + (d, d):
+            raise ValueError(f"jacobian has shape {jac.shape}, "
+                             f"expected {self.grid.dims + (d, d)}")
+        if not np.all(np.isfinite(jac)):
+            raise ValueError("jacobian contains NaN or Inf")
+        object.__setattr__(self, "jacobian", jac)
 
     def jacobian_det(self) -> np.ndarray:
-        return np.linalg.det(self.jacobian.values())
+        return np.linalg.det(self.jacobian)
 
     @classmethod
     def identity(cls, grid: Grid) -> "DiscreteMap":
         pts = grid.points()
-        images = VectorField.from_arrays(grid, [pts[..., a] for a in range(grid.d)])
-        eye = [[ScalarField(grid, np.full(grid.dims, 1.0 if r == c else 0.0))
-                for c in range(grid.d)] for r in range(grid.d)]
-        return cls(grid, images, TensorField(grid, tuple(tuple(r) for r in eye)))
+        d = grid.d
+        images = VectorField.from_arrays(grid, [pts[..., a] for a in range(d)])
+        return cls(grid, images, np.broadcast_to(np.eye(d), grid.dims + (d, d)))
 
 
 def pullback(dmap: DiscreteMap, omega: KForm) -> KForm:
@@ -318,8 +323,8 @@ def pullback(dmap: DiscreteMap, omega: KForm) -> KForm:
     src_grid = omega.grid
     if src_grid is None and omega.coeffs:
         raise ValueError("pullback needs grid coefficients")
-    jac = dmap.jacobian.values()
-    if np.any(np.abs(np.linalg.det(jac)) < 1e-300):
+    jac = dmap.jacobian
+    if np.any(np.abs(dmap.jacobian_det()) < 1e-300):
         raise ValueError("singular jacobian in pullback")
     pts = np.stack([c.values for c in dmap.images.components], axis=-1)
     if not omega.coeffs:
@@ -342,19 +347,16 @@ def pullback(dmap: DiscreteMap, omega: KForm) -> KForm:
     return KForm(grid.d, k, out)
 
 
-def antisym_matrix_rep(omega: KForm) -> TensorField:
-    """Matrix of a grid 2-form: entry (m, n) = coefficient of dx_m^dx_n / 2."""
+def antisym_matrix_rep(omega: KForm) -> np.ndarray:
+    """Matrix of a grid 2-form as one ``dims + (d, d)`` array:
+    ``[..., m, n]`` = coefficient of dx_m^dx_n / 2."""
     if omega.degree != 2:
         raise ValueError("matrix representation needs a 2-form")
     grid = omega.grid
     if grid is None:
         raise ValueError("matrix representation needs grid coefficients")
-    d = omega.d
-    zero = np.zeros(grid.dims)
-    arr = [[zero for _ in range(d)] for _ in range(d)]
+    out = np.zeros(grid.dims + (omega.d, omega.d))
     for (m, n), c in omega.coeffs.items():
-        arr[m - 1][n - 1] = 0.5 * c.values
-        arr[n - 1][m - 1] = -0.5 * c.values
-    rows = tuple(tuple(ScalarField(grid, arr[r][c]) for c in range(d))
-                 for r in range(d))
-    return TensorField(grid, rows)
+        out[..., m - 1, n - 1] = 0.5 * c.values
+        out[..., n - 1, m - 1] = -0.5 * c.values
+    return out

@@ -1,6 +1,6 @@
 """Periodic uniform grids and sampled fields.
 
-Scalar/vector/tensor fields on d-dimensional periodic boxes with
+Scalar and vector fields on d-dimensional periodic boxes with
 4th-order centered finite differences, 4-point Lagrange interpolation,
 and the steady Taylor-Green cell as exact
 :class:`rsflow.trig.TrigPoly` components.
@@ -169,41 +169,6 @@ class VectorField:
         return max(c.max_abs() for c in self.components)
 
 
-@dataclass(frozen=True, eq=False)
-class TensorField:
-    grid: Grid
-    entries: tuple  # rows of tuples of ScalarField
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.entries)
-        for r in rows:
-            for e in r:
-                if e.grid != self.grid:
-                    raise ValueError("all entries must share one grid")
-            if len(r) != len(rows[0]):
-                raise ValueError("ragged tensor entries")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    def entry(self, r: int, c: int) -> ScalarField:
-        return self.entries[r][c]
-
-    def values(self) -> np.ndarray:
-        """Stacked array of shape dims + (rows, cols)."""
-        out = np.empty(self.grid.dims + (self.rows, self.cols))
-        for r in range(self.rows):
-            for c in range(self.cols):
-                out[..., r, c] = self.entries[r][c].values
-        return out
-
-
 # ----------------------------------------------------------------------
 # derivatives
 # ----------------------------------------------------------------------
@@ -245,15 +210,14 @@ def divergence(u: VectorField) -> ScalarField:
     return ScalarField(u.grid, out)
 
 
-def gradient_tensor(u: VectorField) -> TensorField:
-    """Velocity-gradient matrix; entry (r, c) = du_c / dx_r."""
+def gradient_tensor(u: VectorField) -> np.ndarray:
+    """Velocity-gradient matrix as one ``dims + (d, d)`` array:
+    ``[..., r, c] = du_c / dx_r``."""
     if u.ncomp != u.grid.d:
         raise ValueError(f"gradient tensor needs {u.grid.d} components, got {u.ncomp}")
-    rows = []
-    for r in range(u.grid.d):
-        rows.append(tuple(partial_derivative(u.components[c], r)
-                          for c in range(u.grid.d)))
-    return TensorField(u.grid, tuple(rows))
+    d, h = u.grid.d, u.grid.spacing
+    entries = [derivative(c.values, r, h[r]) for r in range(d) for c in u.components]
+    return np.stack(entries, axis=-1).reshape(u.grid.dims + (d, d))
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exterior import KForm, exterior_derivative
-from .fields import ScalarField, TensorField, VectorField, derivative
+from .fields import VectorField, derivative
 
 __all__ = [
     "DecompPlan", "ZeroPattern", "CanonicalRotation",
@@ -84,19 +84,11 @@ class ZeroPattern:
 
 
 def zero_pattern(d: int) -> ZeroPattern:
-    if d < 3:
-        raise ValueError("zero pattern defined for d >= 3")
-    blocks = {}
-    b = 0
-    a = 1
-    while a <= d:
-        blocks[a] = b
-        if a + 1 <= d:
-            blocks[a + 1] = b
-        a += 2
-        b += 1
+    """Entry (c, r) is required zero when axis r lies in a later pair of
+    :func:`decomposition_plan` than axis c (which rejects d < 3)."""
+    pair = {a: i for i, p in enumerate(decomposition_plan(d).pairs) for a in p}
     req = frozenset((c, r) for c in range(1, d + 1) for r in range(1, d + 1)
-                    if blocks[r] > blocks[c])
+                    if pair[r] > pair[c])
     return ZeroPattern(d, req)
 
 
@@ -112,21 +104,14 @@ def check_rsf(u: VectorField, pattern: ZeroPattern) -> float:
     return worst
 
 
-def sym_antisym_split(g: TensorField):
-    """G = D + A with D symmetric and A antisymmetric."""
-    if g.rows != g.cols:
-        raise ValueError("split needs a square tensor")
-    n = g.rows
-    dsym = [[None] * n for _ in range(n)]
-    asym = [[None] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            gv = g.entry(r, c).values
-            gt = g.entry(c, r).values
-            dsym[r][c] = ScalarField(g.grid, 0.5 * (gv + gt))
-            asym[r][c] = ScalarField(g.grid, 0.5 * (gv - gt))
-    return (TensorField(g.grid, tuple(tuple(r) for r in dsym)),
-            TensorField(g.grid, tuple(tuple(r) for r in asym)))
+def sym_antisym_split(g: np.ndarray):
+    """G = D + A with D symmetric and A antisymmetric, for a stack of
+    square matrices of shape ``dims + (n, n)``."""
+    g = np.asarray(g, dtype=float)
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
+        raise ValueError(f"split needs square matrices, got shape {g.shape}")
+    gt = np.swapaxes(g, -1, -2)
+    return 0.5 * (g + gt), 0.5 * (g - gt)
 
 
 # ----------------------------------------------------------------------
@@ -165,9 +150,11 @@ def canonical_antisymmetric(a: np.ndarray) -> CanonicalRotation:
     zero rates fill the remaining floor(d/2) slots.
     """
     a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square 2-D, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains NaN or Inf")
     n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
     norm = max(np.linalg.norm(a), 1.0)
     if np.max(np.abs(a + a.T)) > 1e-12 * norm:
         raise ValueError("matrix is not antisymmetric")

@@ -3,21 +3,15 @@
 Layout (little-endian): magic ``RSFF``, u32 version=1, u32 d, u32 ncomp,
 u32 dims[d], f64 length[d], f64 time, then ncomp * prod(dims) f64 values,
 component-major then row-major (axis 1 slowest).
-
-K-forms reuse the same container with one component per stored tuple and
-a JSON sidecar (``<file>.json``) listing the degree and the tuples in
-lexicographic order.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .exterior import KForm
 from .fields import Grid, ScalarField, VectorField
 
 MAGIC = b"RSFF"
@@ -73,24 +67,3 @@ def read_field(path):
         comps.append(vals.reshape(dims).astype(np.float64))
     return VectorField.from_arrays(grid, comps), time
 
-
-def write_kform(path, form: KForm, time: float = 0.0) -> None:
-    grid = form.grid
-    if grid is None and form.coeffs:
-        raise ValueError("k-form serialization needs grid coefficients")
-    tuples = form.tuples()
-    comps = [form.coeffs[t] for t in tuples]
-    if grid is None:
-        raise ValueError("cannot serialize an empty form without a grid")
-    write_field(path, comps or [ScalarField.zeros(grid)], time)
-    sidecar = {"version": VERSION, "degree": form.degree, "d": form.d,
-               "tuples": [list(t) for t in tuples]}
-    Path(str(path) + ".json").write_text(json.dumps(sidecar))
-
-
-def read_kform(path):
-    vf, time = read_field(path)
-    meta = json.loads(Path(str(path) + ".json").read_text())
-    tuples = [tuple(t) for t in meta["tuples"]]
-    coeffs = dict(zip(tuples, vf.components))
-    return KForm(meta["d"], meta["degree"], coeffs), time

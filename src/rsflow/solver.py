@@ -75,6 +75,10 @@ class SolverConfig:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
+        if self.kmax < 1:
+            raise ValueError(f"kmax must be >= 1, got {self.kmax}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         dims = tuple(int(n) for n in np.atleast_1d(np.asarray(self.dims)))
         if len(dims) == 1:
             dims = dims * 3

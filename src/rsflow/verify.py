@@ -25,7 +25,7 @@ from . import rsff
 from .exterior import (DiscreteMap, KForm, exterior_derivative,
                        lie_derivative_cartan, lie_derivative_components,
                        pullback, wedge)
-from .fields import (Grid, Interpolator, ScalarField, TensorField, VectorField,
+from .fields import (Grid, Interpolator, ScalarField, VectorField,
                      derivative, lagrange4_weights, restrict)
 from .rsf import component_vorticities, decomposition_plan
 from .solver import SimulationResult, SolverConfig, run_simulation
@@ -199,9 +199,7 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
     shape = coarse.dims
     images = VectorField.from_arrays(
         coarse, [x[:, c].reshape(shape) for c in range(3)])
-    rows = tuple(tuple(ScalarField(coarse, jac[:, r, c].reshape(shape))
-                       for c in range(3)) for r in range(3))
-    dmap = DiscreteMap(coarse, images, TensorField(coarse, rows))
+    dmap = DiscreteMap(coarse, images, jac.reshape(shape + (3, 3)))
     return FlowMap(t0, t1, dmap)
 
 
@@ -322,6 +320,8 @@ def identity_suite(dims=range(3, 9), seeds=20) -> dict:
     d o d = 0, Cartan vs. component Lie derivative, d-L commutation,
     Leibniz over the wedge, and the trivial-extension lemma.
     """
+    if seeds < 1:
+        raise ValueError(f"identity suite needs seeds >= 1, got {seeds}")
     worst = {"dd_zero": 0.0, "cartan_vs_components": 0.0,
              "d_commutes_lie": 0.0, "leibniz": 0.0, "lemma1": 0.0}
     for d in dims:

@@ -36,6 +36,14 @@ def test_verify_identities(capsys):
     assert "lemma1_negative_control" in out
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_verify_identities_rejects_no_seeds(seeds, capsys):
+    assert main(["verify-identities", "--d", "3", "--seeds", seeds]) == 2
+    cap = capsys.readouterr()
+    assert "[PASS]" not in cap.out
+    assert cap.err == f"error: identity suite needs seeds >= 1, got {seeds}\n"
+
+
 def test_canonical_random_demo(capsys):
     assert main(["canonical", "--d", "5", "--seed", "3"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -50,6 +58,18 @@ def test_canonical_from_matrix_file(tmp_path, capsys):
     assert main(["canonical", "--matrix", str(path)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["rates"] == pytest.approx([2.0])
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("5", "square 2-D"), ("[[0, NaN], [NaN, 0]]", "NaN or Inf")])
+def test_canonical_rejects_bad_matrix_file(text, expected, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert main(["canonical", "--matrix", str(path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    assert expected in cap.err
 
 
 @pytest.fixture(scope="module")

@@ -18,8 +18,7 @@ from rsflow.exterior import (DiscreteMap, KForm, antisym_matrix_rep,
                              interior_product, lie_derivative_cartan,
                              lie_derivative_components, pullback,
                              velocity_from_form, wedge)
-from rsflow.fields import (Grid, ScalarField, TensorField, VectorField,
-                           gradient_tensor)
+from rsflow.fields import Grid, ScalarField, VectorField, gradient_tensor
 from rsflow.rsf import sym_antisym_split
 from rsflow.trig import TrigPoly
 from rsflow.verify import _random_form
@@ -203,14 +202,26 @@ def test_pullback_by_quarter_turn():
     pts = g.points()
     images = VectorField.from_arrays(
         g, [np.mod(pts[..., 1], 2 * np.pi), np.mod(-pts[..., 0], 2 * np.pi)])
-    const = lambda v: ScalarField(g, np.full(g.dims, float(v)))
-    jac = TensorField(g, ((const(0), const(-1)), (const(1), const(0))))
+    jac = np.broadcast_to([[0.0, -1.0], [1.0, 0.0]], g.dims + (2, 2))
     rng = np.random.default_rng(12)
     f = TrigPoly.random(2, 2, rng)
     omega = KForm(2, 2, {(1, 2): _sample(f, g)})
     pulled = pullback(DiscreteMap(g, images, jac), omega)
     expect = f.eval(np.stack([pts[..., 1], -pts[..., 0]], axis=-1))
     np.testing.assert_allclose(pulled.coeff((1, 2)).values, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", ["nan", "shape"])
+def test_discrete_map_rejects_bad_jacobian(bad):
+    g = Grid.cube(2, 8)
+    ident = DiscreteMap.identity(g)
+    jac = np.array(ident.jacobian)
+    if bad == "nan":
+        jac[3, 5, 1, 0] = np.nan
+    else:
+        jac = jac[..., :1]
+    with pytest.raises(ValueError, match="NaN" if bad == "nan" else "shape"):
+        DiscreteMap(g, ident.images, jac)
 
 
 def test_pullback_of_zero_form_composes():
@@ -242,6 +253,5 @@ def test_vorticity_matrix_is_antisymmetric_gradient_part():
     omega = exterior_derivative(form_from_velocity(u))
     rep = antisym_matrix_rep(omega)
     _, antisym = sym_antisym_split(gradient_tensor(u))
-    worst = max((rep.entry(r, c) - antisym.entry(r, c)).max_abs()
-                for r in range(3) for c in range(3))
-    assert worst <= 1e-12
+    assert rep.shape == g.dims + (3, 3)
+    assert np.max(np.abs(rep - antisym)) <= 1e-12

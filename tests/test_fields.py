@@ -92,9 +92,8 @@ def test_divergence_equals_gradient_trace():
     u = VectorField(g, tuple(_sample(TrigPoly.random(3, 2, rng), g)
                              for _ in range(3)))
     div = divergence(u)
-    grad = gradient_tensor(u)
-    trace = sum((grad.entry(a, a) for a in range(1, 3)), grad.entry(0, 0))
-    assert (div - trace).max_abs() <= 1e-12
+    trace = np.trace(gradient_tensor(u), axis1=-2, axis2=-1)
+    assert np.max(np.abs(div.values - trace)) <= 1e-12
 
 
 def test_gradient_tensor_index_convention():
@@ -103,17 +102,10 @@ def test_gradient_tensor_index_convention():
     u = VectorField(g, (_sample(TrigPoly.constant(2, 0.0), g),
                         _sample(TrigPoly.sin(2, (1, 0)), g)))
     grad = gradient_tensor(u)
-    expect = _sample(TrigPoly.cos(2, (1, 0)), g)
-    assert (grad.entry(0, 1) - expect).max_abs() <= 1e-3
-    assert grad.entry(1, 1).max_abs() <= 1e-12  # u2 has no x2 dependence
-
-
-def test_tensorfield_values_layout():
-    g = Grid.cube(2, 8)
-    one = ScalarField(g, np.ones(g.dims))
-    two = ScalarField(g, 2.0 * np.ones(g.dims))
-    t = gradient_tensor(VectorField(g, (one, two)))
-    assert t.values().shape == (8, 8, 2, 2)
+    assert grad.shape == (32, 32, 2, 2)
+    expect = _sample(TrigPoly.cos(2, (1, 0)), g).values
+    assert np.max(np.abs(grad[..., 0, 1] - expect)) <= 1e-3
+    assert np.max(np.abs(grad[..., 1, 1])) <= 1e-12  # u2 has no x2 dependence
 
 
 def test_scalarfield_rejects_nan():

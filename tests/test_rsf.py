@@ -128,12 +128,15 @@ def test_split_properties():
                              for _ in range(3)))
     grad = gradient_tensor(u)
     dsym, asym = sym_antisym_split(grad)
-    for r in range(3):
-        for c in range(3):
-            assert (dsym.entry(r, c) - dsym.entry(c, r)).max_abs() == 0.0
-            assert (asym.entry(r, c) + asym.entry(c, r)).max_abs() == 0.0
-            recon = dsym.entry(r, c) + asym.entry(r, c)
-            assert (recon - grad.entry(r, c)).max_abs() <= 1e-14
+    assert dsym.shape == asym.shape == grad.shape
+    assert np.array_equal(dsym, np.swapaxes(dsym, -1, -2))
+    assert np.array_equal(asym, -np.swapaxes(asym, -1, -2))
+    assert np.max(np.abs(dsym + asym - grad)) <= 1e-14
+
+
+def test_split_rejects_non_square_matrices():
+    with pytest.raises(ValueError, match="square"):
+        sym_antisym_split(np.zeros((8, 8, 2, 3)))
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from rsflow import rsff
-from rsflow.exterior import KForm
 from rsflow.fields import Grid, ScalarField, VectorField
-from rsflow.trig import TrigPoly
 
 
 def _random_field(grid, seed):
@@ -34,22 +32,6 @@ def test_scalar_field_round_trip(tmp_path):
     back, t = rsff.read_field(path)
     assert t == 0.0 and back.ncomp == 1
     assert np.array_equal(back.components[0].values, f.values)
-
-
-def test_kform_round_trip(tmp_path):
-    g = Grid.cube(3, 8)
-    poly = TrigPoly.sin(3, (1, 0, 0))
-    coeffs = {(1, 2): ScalarField(g, poly.sample([g.axis_coords(a)
-                                                  for a in range(3)])),
-              (2, 3): _random_field(g, 7)}
-    form = KForm(3, 2, coeffs)
-    path = tmp_path / "omega.rsff"
-    rsff.write_kform(path, form, time=0.5)
-    back, t = rsff.read_kform(path)
-    assert t == 0.5
-    assert back.degree == 2 and back.d == 3
-    assert back.tuples() == form.tuples()
-    assert (back - form).max_abs() == 0.0
 
 
 def test_bad_magic_rejected(tmp_path):

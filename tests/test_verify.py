@@ -65,11 +65,9 @@ def test_flowmap_constant_velocity_is_exact():
     for c in range(3):
         np.testing.assert_allclose(fmap.map.images.components[c].values,
                                    pts[..., c] + u[c], atol=1e-13)
-    for r in range(3):
-        for c in range(3):
-            expect = 1.0 if r == c else 0.0
-            np.testing.assert_allclose(fmap.map.jacobian.entry(r, c).values,
-                                       expect, atol=1e-13)
+    np.testing.assert_allclose(fmap.map.jacobian,
+                               np.broadcast_to(np.eye(3), g.dims + (3, 3)),
+                               atol=1e-13)
 
 
 def test_flowmap_evaluates_history_once_per_distinct_stage_time():
@@ -91,6 +89,17 @@ def test_flowmap_volume_preserved_by_divergence_free_flow():
     # horizontal TG is divergence-free but u3 self-advection is not
     assert np.max(np.abs(det - 1.0)) < 0.2
     assert np.min(det) > 0.5
+
+
+@pytest.mark.parametrize("mode", ["kinematic_tg", "constrained"])
+def test_flowmap_keeps_rsf_structural_zeros_exact(mode):
+    # du1/dx3 = du2/dx3 = 0 on an RSF history (steady u_h in kinematic_tg,
+    # unsteady in constrained), so dJ/dt = J . grad u never moves J[2, 0:2]
+    cfg = SolverConfig(mode=mode, dims=(16, 16, 16), t_end=0.4,
+                       amplitude=0.1, kmax=1, snapshot_stride=1)
+    h = VelocityHistory.from_result(run_simulation(cfg))
+    fmap = advect_flowmap(h, h.t0, h.t1, substeps=2 * (len(h.times) - 1))
+    assert np.all(fmap.map.jacobian[..., 2, 0:2] == 0.0)
 
 
 def test_flowmap_rejects_interval_outside_history():
