@@ -93,8 +93,10 @@ def _cmd_canonical(args) -> int:
     if args.matrix:
         a = np.asarray(json.loads(Path(args.matrix).read_text()), dtype=float)
     else:
-        rng = np.random.default_rng(args.seed)
         d = args.d
+        if d < 1:
+            raise ValueError(f"--d must be >= 1, got {d}")
+        rng = np.random.default_rng(args.seed)
         raw = rng.normal(size=(d, d))
         a = 0.5 * (raw - raw.T)
     rot = canonical_antisymmetric(a)

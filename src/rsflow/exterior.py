@@ -133,11 +133,6 @@ def _acc(store, tup, coef):
     store[tup] = store[tup] + coef if tup in store else coef
 
 
-def _prune(store):
-    return {t: c for t, c in store.items()
-            if not (isinstance(c, TrigPoly) and not c.terms)}
-
-
 def _velocity_components(u, d):
     """Velocity as a list of d coefficient slots (None = zero component)."""
     comps = list(u.components) if isinstance(u, VectorField) else list(u)
@@ -195,7 +190,7 @@ def exterior_derivative(omega: KForm) -> KForm:
                 continue
             sign, ntup = srt
             _acc(out, ntup, c.diff(a - 1) * float(sign))
-    return KForm(d, omega.degree + 1, _prune(out))
+    return KForm(d, omega.degree + 1, out)
 
 
 def wedge(alpha: KForm, beta: KForm) -> KForm:
@@ -217,7 +212,7 @@ def wedge(alpha: KForm, beta: KForm) -> KForm:
                 continue
             sign, merged = srt
             _acc(out, merged, (c1 * c2) * float(sign))
-    return KForm(alpha.d, deg, _prune(out))
+    return KForm(alpha.d, deg, out)
 
 
 def interior_product(u, omega: KForm) -> KForm:
@@ -233,7 +228,7 @@ def interior_product(u, omega: KForm) -> KForm:
                 continue
             rest = tup[:m] + tup[m + 1:]
             _acc(out, rest, (uc * c) * float((-1) ** m))
-    return KForm(omega.d, omega.degree - 1, _prune(out))
+    return KForm(omega.d, omega.degree - 1, out)
 
 
 def lie_derivative_cartan(u, omega: KForm) -> KForm:
@@ -271,7 +266,7 @@ def lie_derivative_components(u, omega: KForm) -> KForm:
                     continue
                 sign, ntup = srt
                 _acc(out, ntup, (c * u_slot.diff(k - 1)) * float(sign))
-    return KForm(omega.d, omega.degree, _prune(out))
+    return KForm(omega.d, omega.degree, out)
 
 
 # ----------------------------------------------------------------------

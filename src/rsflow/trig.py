@@ -6,16 +6,17 @@ wavevectors:
 
     f(x) = sum_k c_k exp(i k . x),   c_{-k} = conj(c_k).
 
-The class is closed under addition, multiplication and differentiation,
-all of which are exact up to floating-point rounding.  This makes it the
-machine-precision oracle for every closed-form identity check (d o d = 0,
-Cartan vs. component Lie derivative, Leibniz, trivial-extension lemma),
-where finite differences would only give stencil-order agreement.
+The wavevectors are the rows of an int64 ``(nterms, d)`` matrix ``k`` and
+the coefficients a complex vector ``c``.  The class is closed under
+addition, multiplication and differentiation, all of which are exact up to
+floating-point rounding.  This makes it the machine-precision oracle for
+every closed-form identity check (d o d = 0, Cartan vs. component Lie
+derivative, Leibniz, trivial-extension lemma), where finite differences
+would only give stencil-order agreement.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -23,23 +24,44 @@ import numpy as np
 __all__ = ["TrigPoly"]
 
 
-def _neg(k):
-    return tuple(-a for a in k)
-
-
 class TrigPoly:
-    """Real trig polynomial sum_k c_k exp(i k.x) with Hermitian coefficients."""
+    """Real trig polynomial sum_k c_k exp(i k.x) with Hermitian coefficients.
 
-    __slots__ = ("d", "terms")
+    Invariant: the rows of ``k`` are distinct and no entry of ``c`` is zero.
+    """
 
-    def __init__(self, d: int, terms: dict | None = None):
+    __slots__ = ("d", "k", "c")
+
+    def __init__(self, d: int, k=None, c=None):
+        """sum_j c[j] exp(i k[j].x); repeated rows are summed, zeros dropped."""
         self.d = int(d)
-        self.terms: dict[tuple[int, ...], complex] = {}
-        if terms:
-            for k, c in terms.items():
-                c = complex(c)
-                if c != 0:
-                    self.terms[tuple(int(a) for a in k)] = c
+        k = np.asarray(np.zeros((0, d)) if k is None else k, dtype=np.int64)
+        c = np.asarray(() if c is None else c, dtype=complex)
+        if c.ndim != 1 or k.shape != (len(c), self.d):
+            raise ValueError(f"wavevectors of shape {k.shape} for coefficients of "
+                             f"shape {c.shape} in dimension {self.d}")
+        if len(c):
+            # One flat key per row; ravel_multi_index raises on overflow.
+            lo = k.min(axis=0)
+            key = np.ravel_multi_index((k - lo).T, tuple(k.max(axis=0) - lo + 1))
+            uniq, first, inv = np.unique(key, return_index=True, return_inverse=True)
+            c = (np.bincount(inv, c.real, len(uniq))
+                 + 1j * np.bincount(inv, c.imag, len(uniq)))
+            k = k[first]
+        keep = c != 0
+        self.k, self.c = k[keep], c[keep]
+
+    def _same_rows(self, c) -> "TrigPoly":
+        """New coefficients ``c`` on these rows: still distinct, so no merge."""
+        out = object.__new__(TrigPoly)
+        keep = c != 0
+        out.d, out.k, out.c = self.d, self.k[keep], c[keep]
+        return out
+
+    @property
+    def terms(self) -> dict:
+        """Copy of the coefficients as ``{wavevector tuple: complex}``."""
+        return dict(zip(map(tuple, self.k.tolist()), self.c.tolist()))
 
     # ------------------------------------------------------------------
     # constructors
@@ -50,7 +72,7 @@ class TrigPoly:
 
     @classmethod
     def constant(cls, d: int, value: float) -> "TrigPoly":
-        return cls(d, {(0,) * d: value})
+        return cls(d, [(0,) * d], [value])
 
     @classmethod
     def harmonic(cls, d, k, amplitude=1.0, phase=0.0) -> "TrigPoly":
@@ -59,9 +81,7 @@ class TrigPoly:
         if len(k) != d:
             raise ValueError(f"wavevector length {len(k)} != dimension {d}")
         c = 0.5 * amplitude * complex(math.cos(phase), math.sin(phase))
-        if all(a == 0 for a in k):
-            return cls(d, {k: 2 * c.real})
-        return cls(d, {k: c, _neg(k): c.conjugate()})
+        return cls(d, [k, [-a for a in k]], [c, c.conjugate()])
 
     @classmethod
     def sin(cls, d, k, amplitude=1.0) -> "TrigPoly":
@@ -79,6 +99,10 @@ class TrigPoly:
         touch, so the result is independent of the remaining coordinates.
         """
         axes = list(range(d)) if axes is None else list(axes)
+        if kmax < 1:
+            raise ValueError(f"random harmonics need kmax >= 1, got {kmax}")
+        if not axes:
+            raise ValueError(f"random harmonics need at least one axis, got axes={axes}")
         out = cls.zero(d)
         for _ in range(nterms):
             k = [0] * d
@@ -95,48 +119,33 @@ class TrigPoly:
 
         Normalized so that sum |c_k| = amplitude, hence max |f| <= amplitude.
         """
-        terms: dict[tuple[int, ...], complex] = {}
-        for k in itertools.product(range(-kmax, kmax + 1), repeat=d):
-            nz = next((a for a in k if a != 0), 0)
-            if nz <= 0:  # half lattice: first nonzero entry positive
-                continue
-            c = complex(rng.normal(), rng.normal())
-            terms[k] = c
-            terms[_neg(k)] = c.conjugate()
-        total = sum(abs(c) for c in terms.values())
+        k = np.indices((2 * kmax + 1,) * d).reshape(d, -1).T - kmax
+        first_nonzero = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
+        half = k[first_nonzero > 0]  # half lattice: first nonzero entry positive
+        re, im = rng.normal(size=(len(half), 2)).T
+        c = re + 1j * im
+        total = 2 * np.abs(c).sum()
         if total > 0:
-            scale = amplitude / total
-            terms = {k: c * scale for k, c in terms.items()}
-        return cls(d, terms)
+            c *= amplitude / total
+        return cls(d, np.concatenate([half, -half]), np.concatenate([c, c.conj()]))
 
     # ------------------------------------------------------------------
     # algebra
     # ------------------------------------------------------------------
-    def _add_term(self, k, c):
-        cur = self.terms.get(k, 0j) + c
-        if cur == 0:
-            self.terms.pop(k, None)
-        else:
-            self.terms[k] = cur
-
     def __add__(self, other):
         if np.isscalar(other):
             other = TrigPoly.constant(self.d, other)
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        out = TrigPoly(self.d, self.terms)
-        for k, c in other.terms.items():
-            out._add_term(k, c)
-        return out
+        return TrigPoly(self.d, np.concatenate([self.k, other.k]),
+                        np.concatenate([self.c, other.c]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TrigPoly(self.d, {k: -c for k, c in self.terms.items()})
+        return self._same_rows(-self.c)
 
     def __sub__(self, other):
-        if np.isscalar(other):
-            other = TrigPoly.constant(self.d, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -144,17 +153,11 @@ class TrigPoly:
 
     def __mul__(self, other):
         if np.isscalar(other):
-            s = complex(other)
-            if s == 0:
-                return TrigPoly.zero(self.d)
-            return TrigPoly(self.d, {k: c * s for k, c in self.terms.items()})
+            return self._same_rows(self.c * complex(other))
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        out = TrigPoly(self.d)
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                out._add_term(tuple(a + b for a, b in zip(k1, k2)), c1 * c2)
-        return out
+        return TrigPoly(self.d, (self.k[:, None] + other.k[None]).reshape(-1, self.d),
+                        np.multiply.outer(self.c, other.c).ravel())
 
     __rmul__ = __mul__
 
@@ -163,20 +166,13 @@ class TrigPoly:
         off = np.asarray(offset, dtype=float)
         if off.shape != (self.d,):
             raise ValueError("offset must have one entry per axis")
-        out = TrigPoly(self.d)
-        for k, c in self.terms.items():
-            out.terms[k] = c * complex(np.exp(-1j * float(np.dot(k, off))))
-        return out
+        return self._same_rows(self.c * np.exp(-1j * (self.k @ off)))
 
     def diff(self, axis: int) -> "TrigPoly":
         """Exact partial derivative along a 0-based axis."""
         if not 0 <= axis < self.d:
             raise ValueError(f"axis {axis} out of range for dimension {self.d}")
-        out = TrigPoly(self.d)
-        for k, c in self.terms.items():
-            if k[axis]:
-                out.terms[k] = c * 1j * k[axis]
-        return out
+        return self._same_rows(self.c * 1j * self.k[:, axis])
 
     # ------------------------------------------------------------------
     # evaluation and norms
@@ -186,36 +182,35 @@ class TrigPoly:
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != self.d:
             raise ValueError("point dimension mismatch")
-        out = np.zeros(pts.shape[:-1], dtype=complex)
-        for k, c in self.terms.items():
-            out += c * np.exp(1j * (pts @ np.asarray(k, dtype=float)))
-        return out.real
+        return (np.exp(1j * (pts @ self.k.T)) @ self.c).real
 
     def sample(self, axis_coords) -> np.ndarray:
-        """Evaluate on the tensor grid given by per-axis coordinate arrays."""
+        """Evaluate on the tensor grid given by per-axis coordinate arrays.
+
+        The coefficients are scattered into a dense array over each axis's
+        distinct wavenumbers, then contracted one axis at a time with that
+        axis's ``exp(i k_a x_a)`` table.
+        """
         if len(axis_coords) != self.d:
             raise ValueError("need one coordinate array per axis")
-        shape = tuple(len(a) for a in axis_coords)
-        out = np.zeros(shape, dtype=complex)
-        for k, c in self.terms.items():
-            term = np.asarray(c)
-            for a, (ka, xa) in enumerate(zip(k, axis_coords)):
-                idx = [None] * self.d
-                idx[a] = slice(None)
-                term = term * np.exp(1j * ka * np.asarray(xa))[tuple(idx)]
-            out += term
+        per_axis = [np.unique(ka, return_inverse=True) for ka in self.k.T]
+        out = np.zeros(tuple(len(wn) for wn, _ in per_axis), dtype=complex)
+        out[tuple(idx for _, idx in per_axis)] = self.c
+        for (wn, _), xa in zip(per_axis, axis_coords):
+            table = np.exp(1j * np.multiply.outer(wn, np.asarray(xa, dtype=float)))
+            out = np.tensordot(out, table, axes=(0, 0))
         return out.real
 
     def max_abs(self) -> float:
         """Upper bound on sup |f|: sum of coefficient moduli."""
-        return float(sum(abs(c) for c in self.terms.values()))
+        return float(np.abs(self.c).sum())
 
     def l2(self) -> float:
         """Root-mean-square over the box (Parseval, exact)."""
-        return math.sqrt(sum(abs(c) ** 2 for c in self.terms.values()))
+        return math.sqrt(float((np.abs(self.c) ** 2).sum()))
 
     def is_zero(self, tol=0.0) -> bool:
         return self.max_abs() <= tol
 
     def __repr__(self):
-        return f"TrigPoly(d={self.d}, nterms={len(self.terms)})"
+        return f"TrigPoly(d={self.d}, nterms={len(self.c)})"

@@ -297,7 +297,8 @@ def lemma1_check(d: int, k: int, seed: int, violate: bool = False) -> float:
     negative control confirming the hypothesis is needed.
     """
     if not (3 <= d <= 12 and 1 <= k < d):
-        raise ValueError("need 3 <= d and 1 <= k < d")
+        raise ValueError(f"lemma 1 check needs 3 <= d <= 12 and 1 <= k < d, "
+                         f"got d = {d}, k = {k}")
     rng = np.random.default_rng(seed)
     inner = list(range(k))
     u = [TrigPoly.random(d, 2, rng, axes=inner) for _ in range(k)]
@@ -322,6 +323,10 @@ def identity_suite(dims=range(3, 9), seeds=20) -> dict:
     """
     if seeds < 1:
         raise ValueError(f"identity suite needs seeds >= 1, got {seeds}")
+    dims = list(dims)
+    for d in dims:
+        if not 3 <= d <= 12:
+            raise ValueError(f"identity suite needs 3 <= d <= 12, got d = {d}")
     worst = {"dd_zero": 0.0, "cartan_vs_components": 0.0,
              "d_commutes_lie": 0.0, "leibniz": 0.0, "lemma1": 0.0}
     for d in dims:

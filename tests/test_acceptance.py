@@ -14,10 +14,9 @@ from rsflow.rsf import (canonical_antisymmetric, component_vorticities,
                         decomposition_plan)
 from rsflow.solver import (SolverConfig, cfl_dt, init_state, run_simulation,
                            step_rk4)
-from rsflow.verify import (VelocityHistory, fit_order,
-                           frozen_convergence_study, identity_suite,
-                           kinematic_frozen_case, lemma1_check, residual_pde,
-                           wedge_invariant_study)
+from rsflow.verify import (VelocityHistory, frozen_convergence_study,
+                           identity_suite, kinematic_frozen_case, lemma1_check,
+                           residual_pde, wedge_invariant_study)
 
 
 def _report(num, name, ok, detail):

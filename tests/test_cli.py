@@ -44,6 +44,21 @@ def test_verify_identities_rejects_no_seeds(seeds, capsys):
     assert cap.err == f"error: identity suite needs seeds >= 1, got {seeds}\n"
 
 
+def test_verify_identities_rejects_dimension_before_any_work(capsys):
+    assert main(["verify-identities", "--d", "3", "13", "--seeds", "1"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: identity suite needs 3 <= d <= 12, got d = 13\n"
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_canonical_rejects_non_positive_dimension(d, capsys):
+    assert main(["canonical", "--d", d]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"error: --d must be >= 1, got {d}\n"
+
+
 def test_canonical_random_demo(capsys):
     assert main(["canonical", "--d", "5", "--seed", "3"]) == 0
     data = json.loads(capsys.readouterr().out)

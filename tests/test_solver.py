@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rsflow.solver import (FlowState, SolverConfig, cfl_dt, diagnostics,
-                           format_config, init_state, parse_config, rhs,
-                           rsf_deviation, run_simulation, step_rk4)
+from rsflow.solver import (SolverConfig, cfl_dt, diagnostics, format_config,
+                           init_state, parse_config, rhs, rsf_deviation,
+                           run_simulation, step_rk4)
 
 
 SMALL = dict(dims=(16, 16, 8), t_end=0.05, amplitude=0.05, snapshot_stride=2)

@@ -1,5 +1,7 @@
 """TrigPoly: the exact-algebra oracle must itself be verified numerically."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,44 @@ def test_wavevector_length_mismatch_rejected():
 def test_diff_axis_out_of_range():
     with pytest.raises(ValueError):
         TrigPoly.sin(2, (1, 0)).diff(2)
+
+
+def test_product_merges_coinciding_wavevectors():
+    # cos^2 x = 1/2 + cos(2x)/2: the pairs (1, -1) and (-1, 1) share k = 0
+    f = TrigPoly.cos(3, (1, 0, 0))
+    assert (f * f).terms == {(2, 0, 0): 0.25, (0, 0, 0): 0.5, (-2, 0, 0): 0.25}
+
+
+def test_exact_cancellation_leaves_no_terms():
+    f = TrigPoly.cos(3, (1, 0, 0)) + TrigPoly.sin(3, (0, 1, 0))
+    g = TrigPoly.cos(3, (1, 1, 0))
+    diff = f * g - g * f
+    assert len(diff.c) == 0 and diff.k.shape == (0, 3)
+
+
+@pytest.mark.parametrize("k, c", [([[1, 0, 0]], [1.0, 2.0]),
+                                  ([[1, 0]], [1.0]),
+                                  ([[1, 0, 0]], [[1.0]])],
+                         ids=["length", "width", "2-D coefficients"])
+def test_mismatched_wavevectors_and_coefficients_rejected(k, c):
+    with pytest.raises(ValueError, match="wavevectors of shape"):
+        TrigPoly(3, k, c)
+
+
+@pytest.mark.parametrize("f, sizes", [
+    (TrigPoly.band_limited(3, 2, np.random.default_rng(4)), (6, 5, 7)),
+    (TrigPoly.zero(3), (4, 3, 2))], ids=["band_limited", "zero"])
+def test_sample_on_non_cubic_grid_matches_eval(f, sizes):
+    axes = [np.arange(n) * (2 * np.pi / n) for n in sizes]
+    vals = f.sample(axes)
+    assert vals.shape == sizes
+    grid_pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    np.testing.assert_allclose(vals, f.eval(grid_pts), atol=1e-13)
+
+
+@pytest.mark.parametrize("kmax, axes, expected", [(0, None, "kmax >= 1, got 0"),
+                                                  (2, [], "axes=[]")],
+                         ids=["kmax", "axes"])
+def test_random_rejects_empty_band(kmax, axes, expected):
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        TrigPoly.random(3, kmax, np.random.default_rng(0), axes=axes)

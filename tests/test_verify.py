@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rsflow.exterior import wedge
-from rsflow.fields import Grid, ScalarField, VectorField, derivative
+from rsflow.fields import Grid, VectorField, derivative
 from rsflow.rsf import component_vorticities, decomposition_plan
 from rsflow.solver import SolverConfig, run_simulation
 from rsflow.trig import TrigPoly
@@ -195,7 +195,7 @@ def test_lemma1_positive_and_negative_controls():
 
 
 def test_lemma1_argument_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"3 <= d <= 12 .*got d = 3, k = 3"):
         lemma1_check(3, 3, seed=0)
 
 
