@@ -59,7 +59,8 @@ def _cmd_verify_frozen(args) -> int:
     if args.snapshots:
         history = VelocityHistory.from_rsff_dir(args.snapshots)
         errs = frozen_in_errors(history, history)
-        out = {"scenario": "snapshots", "errors": errs}
+        health = errs.pop("flowmap")
+        out = {"scenario": "snapshots", "errors": errs, "flowmap": health}
         ok = all(e["l2_normalized"] <= args.threshold for e in errs.values())
     else:
         report = frozen_convergence_study(tuple(args.resolutions))

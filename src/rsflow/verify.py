@@ -44,19 +44,33 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 def _check_snapshot(name, comps, grid: Grid) -> None:
-    """A history snapshot is 3 velocity components on a 3D grid."""
+    """A history snapshot is 3 velocity components on a 3D grid; u1 and
+    u2 may be columnar, given once per column as ``dims[:2]`` arrays."""
     if grid.d != 3:
         raise ValueError(f"{name}: velocity history needs a 3D grid, got {grid.d}D")
     if len(comps) != 3:
         raise ValueError(f"{name}: needs 3 velocity components, got {len(comps)}")
     for c, values in enumerate(comps):
-        if np.shape(values) != grid.dims:
+        allowed = (grid.dims, grid.dims[:2]) if c < 2 else (grid.dims,)
+        if np.shape(values) not in allowed:
             raise ValueError(f"{name}: u{c + 1} has shape {np.shape(values)}, "
                              f"grid dims are {grid.dims}")
 
 
+def _columns(comps) -> list:
+    """A snapshot with u1 and u2 taken once per column (layer 0), as
+    contiguous 2D arrays that hold no reference to a 3D one."""
+    return [np.ascontiguousarray(comps[0][:, :, 0]),
+            np.ascontiguousarray(comps[1][:, :, 0]), comps[2]]
+
+
 class VelocityHistory:
-    """Uniformly spaced velocity snapshots with cubic time interpolation."""
+    """Uniformly spaced velocity snapshots with cubic time interpolation.
+
+    ``columnar`` is the number of leading components held once per column
+    as ``dims[:2]`` arrays: 2 on an RSF history, whose u1 and u2 do not
+    depend on x3, and 0 otherwise.
+    """
 
     def __init__(self, grid: Grid, times, snapshots):
         times = [float(t) for t in times]
@@ -74,17 +88,25 @@ class VelocityHistory:
             raise ValueError("times/snapshots length mismatch")
         for i, comps in enumerate(self.snapshots):
             _check_snapshot(f"snapshot {i}", comps, grid)
+        ndims = {np.ndim(s[c]) for s in self.snapshots for c in (0, 1)}
+        if len(ndims) > 1:
+            raise ValueError("u1 and u2 must be columnar (dims[:2]) in every "
+                             "snapshot or 3D in every snapshot")
+        self.columnar = 2 if ndims == {2} else 0
         self.dt = times[1] - times[0]
         self._steady = [all(np.array_equal(s[c], self.snapshots[0][c])
                             for s in self.snapshots) for c in range(3)]
         h, first = grid.spacing, self.snapshots[0]
         self._steady_grads = {
-            c: np.stack([derivative(first[c], k, h[k]) for k in range(3)])
+            c: np.stack([derivative(first[c], k, h[k])
+                         for k in range(np.ndim(first[c]))])
             for c in range(3) if self._steady[c]}
 
     @classmethod
     def from_result(cls, result: SimulationResult) -> "VelocityHistory":
-        return cls(result.grid3, result.times, result.snapshots)
+        # the solver's u1 and u2 are 2D; a snapshot holds them broadcast
+        return cls(result.grid3, result.times,
+                   [_columns(s) for s in result.snapshots])
 
     @classmethod
     def from_rsff_dir(cls, path) -> "VelocityHistory":
@@ -102,6 +124,9 @@ class VelocityHistory:
             _check_snapshot(f, comps, grid)
             times.append(t)
             snaps.append(comps)
+        # columnar when every vertical layer equals the first, bit for bit
+        if all(np.all(s[c] == s[c][:, :, :1]) for s in snaps for c in (0, 1)):
+            snaps = [_columns(s) for s in snaps]
         return cls(grid, times, snaps)
 
     @property
@@ -113,41 +138,60 @@ class VelocityHistory:
         return self.times[-1]
 
     def velocity_field(self, index: int) -> VectorField:
-        return VectorField.from_arrays(self.grid, self.snapshots[index])
+        dims = self.grid.dims
+        return VectorField.from_arrays(
+            self.grid, [np.broadcast_to(v[:, :, None], dims) if np.ndim(v) == 2
+                        else v for v in self.snapshots[index]])
 
-    def velocity_at(self, t: float) -> np.ndarray:
-        """Velocity and its gradient at time t as one (12,) + dims stack:
-        row c is u_c and row 3 + 3k + c is du_c/dx_k.
+    def velocity_at(self, t: float) -> tuple:
+        """Velocity and its gradient at time t as two stacks, ``(cols,
+        full)``, for the m = ``columnar`` leading components and the rest.
+
+        ``cols`` has shape ``(m + m * m,) + dims[:2]``: row c is u_c and
+        row m + m * k + c is du_c/dx_k, for c, k < m.  ``full`` has shape
+        ``(4 * (3 - m),) + dims``: row i is u_(m + i) and row
+        (3 - m) * (1 + k) + i is du_(m + i)/dx_k, for k < 3.
 
         Cubic Lagrange in time over the 4 snapshots j..j+3 around t.
         """
         j = int(np.searchsorted(self.times, t)) - 2
         j = max(0, min(j, len(self.times) - 4))
         w = lagrange4_weights((t - self.times[j + 1]) / self.dt)
-        out = np.empty((12,) + self.grid.dims)
-        grads = out[3:].reshape((3, 3) + self.grid.dims)
+        m = self.columnar
+        return (self._stack(range(m), self.grid.dims[:2], j, w),
+                self._stack(range(m, 3), self.grid.dims, j, w))
+
+    def _stack(self, comps, dims, j, w) -> np.ndarray:
+        n, nd = len(comps), len(dims)
+        out = np.empty((n * (1 + nd),) + dims)
+        grads = out[n:].reshape((nd, n) + dims)
         h = self.grid.spacing
-        for c in range(3):
+        for i, c in enumerate(comps):
             if self._steady[c]:
-                out[c] = self.snapshots[0][c]
-                grads[:, c] = self._steady_grads[c]
+                out[i] = self.snapshots[0][c]
+                grads[:, i] = self._steady_grads[c]
                 continue
             acc = w[0] * self.snapshots[j][c]
             for m in range(1, 4):
                 acc = acc + w[m] * self.snapshots[j + m][c]
-            out[c] = acc
-            for k in range(3):
-                grads[k, c] = derivative(acc, k, h[k])
+            out[i] = acc
+            for k in range(nd):
+                grads[k, i] = derivative(acc, k, h[k])
         return out
 
 
 @dataclass(frozen=True, eq=False)
 class FlowMap:
-    """Particle endpoints and Jacobians from t0 to t1."""
+    """Particle endpoints and Jacobians from t0 to t1.
+
+    ``health`` holds what advection saw: particle count, substeps and the
+    range of det J at t1 (empty for a map that was not advected).
+    """
 
     t0: float
     t1: float
     map: DiscreteMap
+    health: dict = field(default_factory=dict)
 
 
 def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
@@ -156,6 +200,14 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
 
     One particle per node of the (optionally stride-subsampled) grid.
     The Jacobian evolves as dJ/dt = J . grad u evaluated along the path.
+
+    The m = ``history.columnar`` leading components of the path and the
+    block J[:m, :m] depend only on the column, so they advance once per
+    column with a 2D gather.  The rest of the path and the columns
+    J[:, m:] advance per particle with a 3D gather of the other
+    components; J[m:, :m] is zero because it is never computed.  On a
+    history without columnar components (m = 0) the columnar block is
+    empty.
     """
     if not (history.t0 - 1e-12 <= t0 <= t1 <= history.t1 + 1e-12):
         raise ValueError("requested interval outside history span")
@@ -166,31 +218,55 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
         coarse = fine
     else:
         coarse = Grid(tuple(n // stride for n in fine.dims), fine.length)
-    pts = coarse.points().reshape(-1, 3)
-    x = pts.copy()
-    jac = np.broadcast_to(np.eye(3), (x.shape[0], 3, 3)).copy()
+    m = history.columnar
+    cols = Grid(fine.dims[:2], fine.length[:2])
+    pts = coarse.points().reshape(-1, coarse.dims[2], 3)  # column, layer, axis
+    ncol = len(pts)
+    # state: x[:m] and J[:m, :m] per column, x[m:] and J[:, m:] per particle
+    jac = np.broadcast_to(np.eye(3), pts.shape[:2] + (3, 3))
+    y = [pts[:, 0, :m], jac[:, 0, :m, :m], pts[..., m:], jac[..., m:]]
 
-    def deriv(xc, jc, stack):
-        vals = Interpolator(fine, xc)(stack)
-        # copy the velocity rows: a view would keep all 12 rows alive
-        return vals[:3].T.copy(), jc @ vals[3:].T.reshape(-1, 3, 3)
+    def assemble(xh, jh, xf, jf):
+        x = np.concatenate([np.broadcast_to(xh[:, None], xf.shape[:2] + (m,)),
+                            xf], axis=-1)
+        jac = np.zeros(xf.shape[:2] + (3, 3))
+        jac[..., :m, :m] = jh[:, None]
+        jac[..., m:] = jf
+        return x, jac
+
+    def deriv(state, stacks):
+        xh, jh = state[:2]
+        x, jac = assemble(*state)
+        vh = Interpolator(cols, xh)(stacks[0]) if m else np.empty((0, ncol))
+        vf = Interpolator(fine, x)(stacks[1])
+        grad_h = np.moveaxis(vh[m:].reshape(m, m, ncol), -1, 0)
+        grad_f = np.moveaxis(vf[3 - m:].reshape((3, 3 - m) + x.shape[:2]),
+                             (0, 1), (-2, -1))
+        # copy the velocity rows: a view would keep the gradient rows alive
+        return [vh[:m].T.copy(), jh @ grad_h,
+                np.moveaxis(vf[:3 - m], 0, -1).copy(), jac @ grad_f]
+
+    def shifted(state, slope, s):
+        return [a + s * b for a, b in zip(state, slope)]
 
     # one velocity stack per distinct stage time; the end of a substep
     # is the start of the next
     dt = (t1 - t0) / substeps
     t = t0
-    stack = history.velocity_at(t)
+    stacks = history.velocity_at(t)
     for _ in range(substeps):
-        dx1, dj1 = deriv(x, jac, stack)
-        stack = history.velocity_at(t + 0.5 * dt)
-        dx2, dj2 = deriv(x + 0.5 * dt * dx1, jac + 0.5 * dt * dj1, stack)
-        dx3, dj3 = deriv(x + 0.5 * dt * dx2, jac + 0.5 * dt * dj2, stack)
-        stack = history.velocity_at(t + dt)
-        dx4, dj4 = deriv(x + dt * dx3, jac + dt * dj3, stack)
-        x = x + (dt / 6.0) * (dx1 + 2 * dx2 + 2 * dx3 + dx4)
-        jac = jac + (dt / 6.0) * (dj1 + 2 * dj2 + 2 * dj3 + dj4)
+        k1 = deriv(y, stacks)
+        stacks = history.velocity_at(t + 0.5 * dt)
+        k2 = deriv(shifted(y, k1, 0.5 * dt), stacks)
+        k3 = deriv(shifted(y, k2, 0.5 * dt), stacks)
+        stacks = history.velocity_at(t + dt)
+        k4 = deriv(shifted(y, k3, dt), stacks)
+        y = [a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         t += dt
 
+    x, jac = assemble(*y)
+    x, jac = x.reshape(-1, 3), jac.reshape(-1, 3, 3)
     det = np.linalg.det(jac)
     if np.min(det) <= 0:
         bad = int(np.argmin(det))
@@ -200,7 +276,9 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
     images = VectorField.from_arrays(
         coarse, [x[:, c].reshape(shape) for c in range(3)])
     dmap = DiscreteMap(coarse, images, jac.reshape(shape + (3, 3)))
-    return FlowMap(t0, t1, dmap)
+    health = {"particles": len(x), "substeps": substeps,
+              "det_min": float(np.min(det)), "det_max": float(np.max(det))}
+    return FlowMap(t0, t1, dmap, health)
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +446,8 @@ def frozen_in_errors(history: VelocityHistory,
     flow map is advected over the same interval through ``transport``
     (``history`` itself, or a corrupted copy for a negative control).
     Every max(1, n // 32)-th node carries a particle, and the map takes
-    2 RK4 substeps per snapshot interval.
+    2 RK4 substeps per snapshot interval; ``"flowmap"`` reports the map's
+    health (:attr:`FlowMap.health`).
     """
     plan = decomposition_plan(3)
     omegas_t0 = component_vorticities(history.velocity_field(0), plan)
@@ -378,7 +457,8 @@ def frozen_in_errors(history: VelocityHistory,
     fmap = advect_flowmap(transport, history.t0, history.t1, substeps,
                           stride=stride)
     return {"omega_h": pullback_error(omegas_t1[0], fmap, omegas_t0[0]),
-            "omega_rest": pullback_error(omegas_t1[1], fmap, omegas_t0[1])}
+            "omega_rest": pullback_error(omegas_t1[1], fmap, omegas_t0[1]),
+            "flowmap": fmap.health}
 
 
 def kinematic_frozen_case(n: int, seed: int = 11,
@@ -442,15 +522,17 @@ def frozen_convergence_study(resolutions=(32, 64, 128)) -> VerificationReport:
         if b % a:
             raise ValueError(f"resolutions must be nested, got {a} and {b}")
     report = VerificationReport("kinematic_tg_frozen", list(res))
-    errs_h, errs_rest = [], []
+    errs_h, errs_rest, health = [], [], []
     for n in res:
         case = kinematic_frozen_case(n)
         errs_h.append(case["omega_h"]["l2_normalized"])
         errs_rest.append(case["omega_rest"]["l2_normalized"])
+        health.append(case["flowmap"])
     report.metrics["omega_h_l2_normalized"] = errs_h
     report.metrics["omega_rest_l2_normalized"] = errs_rest
     report.orders["omega_h"] = fit_order(res, errs_h)
     report.orders["omega_rest"] = fit_order(res, errs_rest)
+    report.extras["flowmap"] = health
     return report
 
 

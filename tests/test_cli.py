@@ -163,6 +163,8 @@ def test_verify_frozen_from_snapshots(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert report["errors"]["omega_h"]["l2_normalized"] <= 1e-2
+    assert report["flowmap"]["particles"] == 32 ** 3
+    assert 0 < report["flowmap"]["det_min"] <= report["flowmap"]["det_max"]
 
 
 @pytest.mark.parametrize("command", ["check-rsf", "slice-image"])

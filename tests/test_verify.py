@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from rsflow.exterior import wedge
-from rsflow.fields import Grid, VectorField, derivative
+from rsflow.fields import Grid, Interpolator, VectorField, derivative
 from rsflow.rsf import component_vorticities, decomposition_plan
 from rsflow.solver import SolverConfig, run_simulation
 from rsflow.trig import TrigPoly
 from rsflow.verify import (VelocityHistory, advect_flowmap, fit_order,
-                           identity_suite, lemma1_check, pullback_error,
-                           residual_pde)
+                           frozen_in_errors, identity_suite, lemma1_check,
+                           pullback_error, residual_pde)
 
 
 def _constant_history(grid, u, times):
@@ -50,6 +50,15 @@ def test_history_from_rsff_keeps_steady_horizontal_flow(tmp_path):
     h = VelocityHistory.from_rsff_dir(tmp_path)
     assert len(h.times) >= 3
     assert h._steady == [True, True, False]
+    assert h.columnar == 2
+
+
+def test_history_rejects_mixed_columnar_snapshots():
+    g = Grid.cube(3, 8)
+    flat = [np.zeros(g.dims[:2]), np.zeros(g.dims[:2]), np.zeros(g.dims)]
+    full = [np.zeros(g.dims)] * 3
+    with pytest.raises(ValueError, match="columnar"):
+        VelocityHistory(g, [0.0, 0.5, 1.0], [flat, full, flat])
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +108,106 @@ def test_flowmap_keeps_rsf_structural_zeros_exact(mode):
                        amplitude=0.1, kmax=1, snapshot_stride=1)
     h = VelocityHistory.from_result(run_simulation(cfg))
     fmap = advect_flowmap(h, h.t0, h.t1, substeps=2 * (len(h.times) - 1))
+    assert h.columnar == 2
     assert np.all(fmap.map.jacobian[..., 2, 0:2] == 0.0)
+    # x_h and J_hh advance once per column: constant along axis 2, bit for bit
+    for block in (fmap.map.images.components[0].values,
+                  fmap.map.images.components[1].values,
+                  fmap.map.jacobian[..., 0:2, 0:2]):
+        assert np.array_equal(block, np.broadcast_to(block[:, :, :1],
+                                                     block.shape))
+
+
+def _unblocked_flowmap(h, t0, t1, substeps):
+    """Reference flow map without the block structure: every particle
+    carries all of x and J, advanced with one 12-row 3D gather per stage
+    (row c is u_c, row 3 + 3k + c is du_c/dx_k; du_h/dx3 = 0)."""
+    def stack(t):
+        cols, full = h.velocity_at(t)
+        out = np.zeros((12,) + h.grid.dims)
+        out[[0, 1, 3, 4, 6, 7]] = cols[..., None]
+        out[[2, 5, 8, 11]] = full
+        return out
+
+    def deriv(x, jac, s):
+        v = Interpolator(h.grid, x)(s)
+        return v[:3].T, jac @ v[3:].T.reshape(-1, 3, 3)
+
+    x = h.grid.points().reshape(-1, 3)
+    jac = np.broadcast_to(np.eye(3), (len(x), 3, 3))
+    dt, t = (t1 - t0) / substeps, t0
+    for _ in range(substeps):
+        s0, s1, s2 = stack(t), stack(t + 0.5 * dt), stack(t + dt)
+        dx1, dj1 = deriv(x, jac, s0)
+        dx2, dj2 = deriv(x + 0.5 * dt * dx1, jac + 0.5 * dt * dj1, s1)
+        dx3, dj3 = deriv(x + 0.5 * dt * dx2, jac + 0.5 * dt * dj2, s1)
+        dx4, dj4 = deriv(x + dt * dx3, jac + dt * dj3, s2)
+        x = x + (dt / 6.0) * (dx1 + 2 * dx2 + 2 * dx3 + dx4)
+        jac = jac + (dt / 6.0) * (dj1 + 2 * dj2 + 2 * dj3 + dj4)
+        t += dt
+    return x.reshape(h.grid.dims + (3,)), jac.reshape(h.grid.dims + (3, 3))
+
+
+def test_block_flowmap_matches_unblocked_reference():
+    # only the summation order differs: one 2D gather per column instead
+    # of the 3D gather of a field that is constant along x3
+    cfg = SolverConfig(mode="constrained", dims=(16, 16, 16), t_end=0.4,
+                       amplitude=0.2, kmax=1, snapshot_stride=1)
+    h = VelocityHistory.from_result(run_simulation(cfg))
+    substeps = 2 * (len(h.times) - 1)
+    fmap = advect_flowmap(h, h.t0, h.t1, substeps)
+    x, jac = _unblocked_flowmap(h, h.t0, h.t1, substeps)
+    images = np.stack([c.values for c in fmap.map.images.components], -1)
+    assert np.max(np.abs(images - x)) <= 1e-13
+    assert np.max(np.abs(fmap.map.jacobian - jac)) <= 1e-13
+    assert np.max(np.abs(images - h.grid.points())) > 1e-2  # particles moved
+
+
+def test_flowmap_general_history_takes_the_3d_block():
+    # u = (sin x3, 0, 0) from 3D arrays: du1/dx3 != 0, so nothing is columnar
+    n, t = 32, 1.0
+    g = Grid.cube(3, n)
+    a = g.points()
+    comps = [np.sin(a[..., 2]), np.zeros(g.dims), np.zeros(g.dims)]
+    h = VelocityHistory(g, [0.0, 0.25, 0.5, 0.75, 1.0], [comps] * 5)
+    assert h.columnar == 0
+    fmap = advect_flowmap(h, 0.0, t, substeps=4)
+    x = [c.values for c in fmap.map.images.components]
+    jac = fmap.map.jacobian
+    np.testing.assert_allclose(x[0], a[..., 0] + t * np.sin(a[..., 2]),
+                               rtol=0, atol=1e-13)
+    assert np.array_equal(x[2], a[..., 2])
+    assert np.all(jac[..., 2, 2] == 1.0)
+    # the stencil's symbol for sin: 1 - h^4/30 + O(h^6)
+    h4 = g.spacing[2] ** 4
+    assert np.max(np.abs(jac[..., 2, 0] - t * np.cos(a[..., 2]))) <= t * h4 / 30
+
+
+def test_flowmap_from_rsff_matches_from_result(tmp_path):
+    cfg = SolverConfig(mode="constrained", dims=(16, 16, 16), t_end=0.4,
+                       amplitude=0.1, kmax=1, snapshot_stride=1)
+    result = run_simulation(cfg, outdir=tmp_path)
+    maps = []
+    for h in (VelocityHistory.from_result(result),
+              VelocityHistory.from_rsff_dir(tmp_path)):
+        assert h.columnar == 2
+        maps.append(advect_flowmap(h, h.t0, h.t1,
+                                   substeps=2 * (len(h.times) - 1)).map)
+    a, b = maps
+    assert np.array_equal(a.jacobian, b.jacobian)
+    for ca, cb in zip(a.images.components, b.images.components):
+        assert np.array_equal(ca.values, cb.values)
+
+
+def test_flowmap_fold_is_loud_and_names_the_particle():
+    # u1 = 5 sin x1 in one RK4 step of length 1 overshoots: det J < 0
+    g = Grid.cube(3, 8)
+    x1 = g.points()[:, :, 0, 0]
+    comps = [5.0 * np.sin(x1), np.zeros(g.dims[:2]), np.zeros(g.dims)]
+    h = VelocityHistory(g, [0.0, 0.5, 1.0], [comps] * 3)
+    with pytest.raises(RuntimeError,
+                       match=r"flow map folded: det J = -\S+ at particle 192"):
+        advect_flowmap(h, 0.0, 1.0, substeps=1)
 
 
 def test_flowmap_rejects_interval_outside_history():
@@ -153,12 +261,26 @@ def short_kinematic_history():
 def test_velocity_at_stacks_velocity_and_gradient(short_kinematic_history):
     h = short_kinematic_history
     assert h._steady == [True, True, False]
-    stack = h.velocity_at(0.5 * (h.times[1] + h.times[2]))
-    assert stack.shape == (12,) + h.grid.dims
+    cols, full = h.velocity_at(0.5 * (h.times[1] + h.times[2]))
+    assert cols.shape == (6,) + h.grid.dims[:2]
+    assert full.shape == (4,) + h.grid.dims
+    spacing = h.grid.spacing
+    for k in range(2):
+        for c in range(2):
+            assert np.array_equal(cols[2 + 2 * k + c],
+                                  derivative(cols[c], k, spacing[k]))
     for k in range(3):
-        for c in range(3):
-            assert np.array_equal(stack[3 + 3 * k + c],
-                                  derivative(stack[c], k, h.grid.spacing[k]))
+        assert np.array_equal(full[1 + k], derivative(full[0], k, spacing[k]))
+
+
+def test_frozen_in_errors_reports_flowmap_health(short_kinematic_history):
+    h = short_kinematic_history
+    health = frozen_in_errors(h, h)["flowmap"]
+    assert health["particles"] == h.grid.npoints
+    assert health["substeps"] == 2 * (len(h.times) - 1)
+    det = advect_flowmap(h, h.t0, h.t1, health["substeps"]).map.jacobian_det()
+    assert health["det_min"] == np.min(det) > 0
+    assert health["det_max"] == np.max(det)
 
 
 def test_residual_pde_linearity(short_kinematic_history):
