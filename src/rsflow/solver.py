@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -149,22 +149,23 @@ def _laplacian(v, spacing, axes):
 # initial conditions
 # ----------------------------------------------------------------------
 
-def _grids(cfg: SolverConfig):
+def init_state(cfg: SolverConfig) -> FlowState:
+    """Seeded band-limited random RSF initial data; bit-reproducible.
+    ``kinematic_tg`` takes steady Taylor-Green u1, u2 and unit density."""
     grid3 = Grid(cfg.dims, cfg.length)
     grid2 = Grid(cfg.dims[:2], cfg.length[:2])
-    return grid3, grid2
-
-
-def init_random(cfg: SolverConfig) -> FlowState:
-    """Seeded band-limited random RSF initial data; bit-reproducible."""
-    grid3, grid2 = _grids(cfg)
     ax2 = [grid2.axis_coords(a) for a in range(2)]
     ax3 = [grid3.axis_coords(a) for a in range(3)]
+    kinematic = cfg.mode == "kinematic_tg"
+    rng = np.random.default_rng(cfg.seed if kinematic else cfg.seed + 1)
+    u3 = cfg.amplitude * TrigPoly.band_limited(3, cfg.kmax, rng).sample(ax3)
+    if kinematic:
+        u1, u2, _ = taylor_green_2d()
+        return FlowState(grid3, grid2, u1.sample(ax2), u2.sample(ax2), u3,
+                         np.ones(grid2.dims), 0.0)
     rng = np.random.default_rng(cfg.seed)
     u1, u2 = (cfg.amplitude * TrigPoly.band_limited(2, cfg.kmax, rng).sample(ax2)
               for _ in range(2))
-    rng = np.random.default_rng(cfg.seed + 1)
-    u3 = cfg.amplitude * TrigPoly.band_limited(3, cfg.kmax, rng).sample(ax3)
     axp = ax3 if cfg.mode == "free" else ax2
     rng = np.random.default_rng(cfg.seed + 2)
     _, pert = (TrigPoly.band_limited(len(axp), cfg.kmax, rng) for _ in range(2))
@@ -176,29 +177,15 @@ def init_random(cfg: SolverConfig) -> FlowState:
     return FlowState(grid3, grid2, u1, u2, u3, rho, 0.0)
 
 
-def init_kinematic_tg(cfg: SolverConfig) -> FlowState:
-    grid3, grid2 = _grids(cfg)
-    u1, u2, _ = taylor_green_2d()
-    ax2 = [grid2.axis_coords(a) for a in range(2)]
-    ax3 = [grid3.axis_coords(a) for a in range(3)]
-    rng = np.random.default_rng(cfg.seed)
-    u3 = cfg.amplitude * TrigPoly.band_limited(3, cfg.kmax, rng).sample(ax3)
-    return FlowState(grid3, grid2, u1.sample(ax2), u2.sample(ax2), u3,
-                     np.ones(grid2.dims), 0.0)
-
-
-def init_state(cfg: SolverConfig) -> FlowState:
-    if cfg.mode == "kinematic_tg":
-        return init_kinematic_tg(cfg)
-    return init_random(cfg)
-
-
 # ----------------------------------------------------------------------
 # right-hand side
 # ----------------------------------------------------------------------
 
 def rhs(state: FlowState, cfg: SolverConfig):
-    """Tendencies (du1, du2, du3, drho); None marks a frozen variable."""
+    """Tendencies (du1, du2, du3, drho); None marks a frozen variable.
+
+    Raises RuntimeError once max |d3 u3| exceeds U3_GRADIENT_ABORT.
+    """
     g2 = state.grid2
     g3 = state.grid3
     h2 = g2.spacing
@@ -208,8 +195,19 @@ def rhs(state: FlowState, cfg: SolverConfig):
     u2b = u2[:, :, None]
 
     du3_adv = -(u1b * derivative(u3, 0, h3[0])
-                + u2b * derivative(u3, 1, h3[1])
-                + u3 * derivative(u3, 2, h3[2]))
+                + u2b * derivative(u3, 1, h3[1]))
+    # taken last and dropped after use: held across the other derivatives
+    # it would raise the peak memory of the step
+    d3u3 = derivative(u3, 2, h3[2])
+    steep = float(max(np.max(d3u3), -np.min(d3u3)))
+    if steep > U3_GRADIENT_ABORT:
+        node = np.unravel_index(np.argmax(np.abs(d3u3)), d3u3.shape)
+        raise RuntimeError(
+            f"vertical self-steepening blew up: |d3 u3| = {steep:.3g} > "
+            f"{U3_GRADIENT_ABORT:g} at t={state.time:.6g}, "
+            f"node {tuple(int(i) for i in node)}")
+    du3_adv -= u3 * d3u3
+    del d3u3
 
     if cfg.mode == "kinematic_tg":
         return None, None, du3_adv, None
@@ -273,27 +271,32 @@ def cfl_dt(state: FlowState, cfg: SolverConfig) -> float:
     return cfg.cfl * hmin / speed
 
 
-def _combine(state, tends, dt_each):
-    """state + sum_i dt_each[i] * tends[i] (None tendencies leave vars be)."""
-    vals = [state.u1, state.u2, state.u3, state.rho]
-    new = []
-    for j, v in enumerate(vals):
-        parts = [w * t[j] for w, t in zip(dt_each, tends) if t[j] is not None]
-        new.append(v + sum(parts) if parts else v)
-    return replace(state, u1=new[0], u2=new[1], u3=new[2], rho=new[3])
+def rk4(f, y: list, t: float, dt: float) -> list:
+    """One classical Runge-Kutta step of dy/dt = f(t, y) for a list of arrays.
+
+    ``f(t, y)`` returns one slope per entry of ``y``; a ``None`` slope
+    leaves its entry unchanged (the same object).  The stages are
+    ``y + s * k`` and the update is ``y + (dt / 6)(k1 + 2 k2 + 2 k3 + k4)``.
+    """
+    def stage(k, s):
+        return [a if b is None else a + s * b for a, b in zip(y, k)]
+
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * dt, stage(k1, 0.5 * dt))
+    k3 = f(t + 0.5 * dt, stage(k2, 0.5 * dt))
+    k4 = f(t + dt, stage(k3, dt))
+    return [a if b1 is None else a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
 def step_rk4(state: FlowState, cfg: SolverConfig, dt: float) -> FlowState:
     """Classical 4-stage Runge-Kutta step."""
-    k1 = rhs(state, cfg)
-    k2 = rhs(replace(_combine(state, [k1], [0.5 * dt]), time=state.time + 0.5 * dt), cfg)
-    k3 = rhs(replace(_combine(state, [k2], [0.5 * dt]), time=state.time + 0.5 * dt), cfg)
-    k4 = rhs(replace(_combine(state, [k3], [dt]), time=state.time + dt), cfg)
-    new = _combine(state, [k1, k2, k3, k4],
-                   [dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0])
-    new = replace(new, time=state.time + dt)
-    for name, arr in (("u1", new.u1), ("u2", new.u2), ("u3", new.u3),
-                      ("rho", new.rho)):
+    def slope(t, y):
+        return rhs(FlowState(state.grid3, state.grid2, *y, t), cfg)
+
+    y = rk4(slope, [state.u1, state.u2, state.u3, state.rho], state.time, dt)
+    new = FlowState(state.grid3, state.grid2, *y, state.time + dt)
+    for name, arr in zip(("u1", "u2", "u3", "rho"), y):
         if not np.all(np.isfinite(arr)):
             raise RuntimeError(f"NaN/Inf in {name} after step to t={new.time:.6g}")
     return new
@@ -372,28 +375,18 @@ def run_simulation(cfg: SolverConfig, outdir=None,
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    index = 0
-
     def snapshot(st):
-        nonlocal index
         comps = assemble_velocity_arrays(st)
+        if out is not None:
+            rsff.write_field(out / f"snap_{len(result.times):04d}.rsff",
+                             [ScalarField(st.grid3, c) for c in comps], st.time)
         result.times.append(st.time)
         if keep_history:
             result.snapshots.append(comps)
         result.diagnostics.append(diagnostics(st, cfg))
-        if out is not None:
-            rsff.write_field(out / f"snap_{index:04d}.rsff",
-                             [ScalarField(st.grid3, c) for c in comps], st.time)
-        index += 1
 
     snapshot(state)
     for step in range(1, nsteps + 1):
-        steep = float(np.max(np.abs(
-            derivative(state.u3, 2, state.grid3.spacing[2]))))
-        if steep > U3_GRADIENT_ABORT:
-            raise RuntimeError(
-                f"vertical self-steepening blew up (|d3 u3|={steep:.3g} "
-                f"at t={state.time:.6g}, step {step})")
         state = step_rk4(state, cfg, dt)
         if step % stride == 0:
             snapshot(state)

@@ -28,7 +28,7 @@ from .exterior import (DiscreteMap, KForm, exterior_derivative,
 from .fields import (Grid, Interpolator, ScalarField, VectorField,
                      derivative, lagrange4_weights, restrict)
 from .rsf import component_vorticities, decomposition_plan
-from .solver import SimulationResult, SolverConfig, run_simulation
+from .solver import SimulationResult, SolverConfig, rk4, run_simulation
 from .trig import TrigPoly
 
 __all__ = [
@@ -74,8 +74,9 @@ class VelocityHistory:
 
     def __init__(self, grid: Grid, times, snapshots):
         times = [float(t) for t in times]
-        if len(times) < 3:
-            raise ValueError("need at least 3 snapshots")
+        if len(times) < 4:
+            raise ValueError(f"cubic time interpolation needs at least 4 "
+                             f"snapshots, got {len(times)}")
         dts = np.diff(times)
         if np.any(dts <= 0):
             raise ValueError("snapshot times must be strictly increasing")
@@ -234,7 +235,13 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
         jac[..., m:] = jf
         return x, jac
 
-    def deriv(state, stacks):
+    memo = {}  # the velocity stacks at the last stage time only
+
+    def deriv(t, state):
+        if t not in memo:
+            memo.clear()
+            memo[t] = history.velocity_at(t)
+        stacks = memo[t]
         xh, jh = state[:2]
         x, jac = assemble(*state)
         vh = Interpolator(cols, xh)(stacks[0]) if m else np.empty((0, ncol))
@@ -246,23 +253,12 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
         return [vh[:m].T.copy(), jh @ grad_h,
                 np.moveaxis(vf[:3 - m], 0, -1).copy(), jac @ grad_f]
 
-    def shifted(state, slope, s):
-        return [a + s * b for a, b in zip(state, slope)]
-
-    # one velocity stack per distinct stage time; the end of a substep
-    # is the start of the next
+    # k2 and k3 share a stage time, and a substep ends at the bit-equal
+    # start time of the next, so each distinct time is evaluated once
     dt = (t1 - t0) / substeps
     t = t0
-    stacks = history.velocity_at(t)
     for _ in range(substeps):
-        k1 = deriv(y, stacks)
-        stacks = history.velocity_at(t + 0.5 * dt)
-        k2 = deriv(shifted(y, k1, 0.5 * dt), stacks)
-        k3 = deriv(shifted(y, k2, 0.5 * dt), stacks)
-        stacks = history.velocity_at(t + dt)
-        k4 = deriv(shifted(y, k3, dt), stacks)
-        y = [a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        y = rk4(deriv, y, t, dt)
         t += dt
 
     x, jac = assemble(*y)
@@ -445,14 +441,17 @@ def frozen_in_errors(history: VelocityHistory,
     The forms come from the first and last snapshots of ``history``; the
     flow map is advected over the same interval through ``transport``
     (``history`` itself, or a corrupted copy for a negative control).
-    Every max(1, n // 32)-th node carries a particle, and the map takes
-    2 RK4 substeps per snapshot interval; ``"flowmap"`` reports the map's
-    health (:attr:`FlowMap.health`).
+    Every s-th node along each axis carries a particle, with the stride
+    s = gcd(*dims, max(1, min(dims) // 32)) dividing every axis (1, 2, 4
+    on the cubes N = 32, 64, 128).  The map takes 2 RK4 substeps per
+    snapshot interval; ``"flowmap"`` reports the map's health
+    (:attr:`FlowMap.health`).
     """
     plan = decomposition_plan(3)
     omegas_t0 = component_vorticities(history.velocity_field(0), plan)
     omegas_t1 = component_vorticities(history.velocity_field(-1), plan)
-    stride = max(1, history.grid.dims[0] // 32)
+    dims = history.grid.dims
+    stride = math.gcd(*dims, max(1, min(dims) // 32))
     substeps = 2 * (len(history.times) - 1)
     fmap = advect_flowmap(transport, history.t0, history.t1, substeps,
                           stride=stride)

@@ -167,6 +167,20 @@ def test_verify_frozen_from_snapshots(tmp_path, capsys):
     assert 0 < report["flowmap"]["det_min"] <= report["flowmap"]["det_max"]
 
 
+def test_verify_frozen_particle_stride_divides_every_axis(tmp_path, capsys):
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text("mode=kinematic_tg\ndims=64,64,8\nt_end=0.25\n"
+                   "amplitude=0.1\nkmax=1\nsnapshot_stride=1\n")
+    out = tmp_path / "snaps"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = main(["verify-frozen", "--snapshots", str(out),
+               "--threshold", "1e-2"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["flowmap"]["particles"] == 64 * 64 * 8
+
+
 @pytest.mark.parametrize("command", ["check-rsf", "slice-image"])
 @pytest.mark.parametrize("kind", ["2d", "not_rsff", "truncated", "missing"])
 def test_bad_field_file_is_a_one_line_error(command, kind, tmp_path, capsys):
@@ -198,21 +212,24 @@ def test_verify_frozen_without_snapshots_is_a_one_line_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["3d_two_components", "2d_three_components",
-                                  "mixed_grids"])
+                                  "mixed_grids", "three_snapshots"])
 def test_verify_frozen_rejects_bad_snapshot_sets(kind, tmp_path, capsys):
     grids = {"3d_two_components": [Grid.cube(3, 8)] * 3,
              "2d_three_components": [Grid((8, 8))] * 3,
-             "mixed_grids": [Grid.cube(3, 8)] * 2 + [Grid.cube(3, 16)]}[kind]
+             "mixed_grids": [Grid.cube(3, 8)] * 2 + [Grid.cube(3, 16)],
+             "three_snapshots": [Grid.cube(3, 8)] * 3}[kind]
     ncomp = 2 if kind == "3d_two_components" else 3
-    for i, g in enumerate(grids):
+    for i, g in enumerate(grids):  # unsteady: the values change per snapshot
         rsff.write_field(tmp_path / f"snap_{i:04d}.rsff",
-                         VectorField.from_arrays(g, [np.zeros(g.dims)] * ncomp),
-                         0.1 * i)
+                         VectorField.from_arrays(
+                             g, [np.full(g.dims, 0.1 * i)] * ncomp), 0.1 * i)
     assert main(["verify-frozen", "--snapshots", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    bad = "snap_0002.rsff" if kind == "mixed_grids" else "snap_0000.rsff"
+    expected = {"mixed_grids": "snap_0002.rsff",
+                "three_snapshots": "needs at least 4 snapshots, got 3"
+                }.get(kind, "snap_0000.rsff")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert bad in err
+    assert expected in err
 
 
 def test_simulate_rejects_bad_config_values(tmp_path, capsys):

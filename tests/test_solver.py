@@ -1,12 +1,14 @@
 """Solver: configuration, modes, conservation, determinism, failure modes."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rsflow.fields import derivative
 from rsflow.solver import (SolverConfig, cfl_dt, diagnostics, format_config,
-                           init_state, parse_config, rhs, rsf_deviation,
+                           init_state, parse_config, rhs, rk4, rsf_deviation,
                            run_simulation, step_rk4)
 
 
@@ -145,11 +147,36 @@ def test_snapshot_times_uniform():
     assert result.times[-1] == pytest.approx(0.3)
 
 
+def test_rk4_is_fourth_order_and_keeps_frozen_entries():
+    # y' = y and z' = cos t from t = 0: e and sin 1 at t = 1
+    frozen = np.ones(3)
+
+    def slope(t, y):
+        return [y[0], None, np.cos(t)]
+
+    errors = []
+    for n in (4, 8, 16):
+        y = [np.array(1.0), frozen, np.array(0.0)]
+        for i in range(n):
+            y = rk4(slope, y, i / n, 1.0 / n)
+            assert y[1] is frozen
+        errors.append((abs(y[0] - math.e), abs(y[2] - math.sin(1.0))))
+    for coarse, fine in zip(errors, errors[1:]):
+        for a, b in zip(coarse, fine):
+            assert 3.8 < math.log2(a / b) < 4.2
+
+
 def test_self_steepening_abort():
     cfg = SolverConfig(mode="kinematic_tg", dims=(16, 16, 16), t_end=1.0,
                        amplitude=40.0, kmax=1)
-    with pytest.raises(RuntimeError, match="self-steepening"):
+    with pytest.raises(RuntimeError, match="self-steepening") as info:
         run_simulation(cfg, keep_history=False)
+    # the initial data is already too steep: the first stage aborts
+    state = init_state(cfg)
+    d3u3 = np.abs(derivative(state.u3, 2, state.grid3.spacing[2]))
+    node = np.unravel_index(np.argmax(d3u3), d3u3.shape)
+    assert (f"|d3 u3| = {np.max(d3u3):.3g} > 20 at t=0, "
+            f"node {tuple(int(i) for i in node)}") in str(info.value)
 
 
 def test_viscous_term_damps_a_single_mode():

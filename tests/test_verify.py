@@ -31,9 +31,12 @@ def test_history_rejects_non_uniform_times():
 
 
 def test_history_rejects_too_few_snapshots():
+    # cubic Lagrange in time needs 4 snapshots
     g = Grid.cube(3, 8)
-    with pytest.raises(ValueError, match="at least 3"):
-        _constant_history(g, (1.0, 0.0, 0.0), [0.0, 0.1])
+    for times in ([0.0, 0.1], [0.0, 0.1, 0.2]):
+        with pytest.raises(ValueError,
+                           match=f"at least 4 snapshots, got {len(times)}"):
+            _constant_history(g, (1.0, 0.0, 0.0), times)
 
 
 def test_history_detects_steady_components():
@@ -58,7 +61,7 @@ def test_history_rejects_mixed_columnar_snapshots():
     flat = [np.zeros(g.dims[:2]), np.zeros(g.dims[:2]), np.zeros(g.dims)]
     full = [np.zeros(g.dims)] * 3
     with pytest.raises(ValueError, match="columnar"):
-        VelocityHistory(g, [0.0, 0.5, 1.0], [flat, full, flat])
+        VelocityHistory(g, [0.0, 0.5, 1.0, 1.5], [flat, full, flat, flat])
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +207,7 @@ def test_flowmap_fold_is_loud_and_names_the_particle():
     g = Grid.cube(3, 8)
     x1 = g.points()[:, :, 0, 0]
     comps = [5.0 * np.sin(x1), np.zeros(g.dims[:2]), np.zeros(g.dims)]
-    h = VelocityHistory(g, [0.0, 0.5, 1.0], [comps] * 3)
+    h = VelocityHistory(g, [0.0, 0.5, 1.0, 1.5], [comps] * 4)
     with pytest.raises(RuntimeError,
                        match=r"flow map folded: det J = -\S+ at particle 192"):
         advect_flowmap(h, 0.0, 1.0, substeps=1)
@@ -212,7 +215,7 @@ def test_flowmap_fold_is_loud_and_names_the_particle():
 
 def test_flowmap_rejects_interval_outside_history():
     g = Grid.cube(3, 8)
-    h = _constant_history(g, (1.0, 0.0, 0.0), [0.0, 0.5, 1.0])
+    h = _constant_history(g, (1.0, 0.0, 0.0), [0.0, 0.5, 1.0, 1.5])
     with pytest.raises(ValueError, match="outside history"):
         advect_flowmap(h, 0.0, 2.0, substeps=4)
 
