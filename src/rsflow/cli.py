@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -132,7 +133,20 @@ def write_ppm(path, rgb: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(rgb, dtype=np.uint8).tobytes())
 
 
+def _parse_levels(text: str) -> list:
+    try:
+        levels = [float(x) for x in text.split(",")]
+    except ValueError:
+        levels = None
+    if levels is None or not (all(math.isfinite(x) for x in levels)
+                              and all(a < b for a, b in zip(levels, levels[1:]))):
+        raise ValueError(f"--levels must be finite and strictly increasing, "
+                         f"got {text!r}")
+    return levels
+
+
 def _cmd_slice_image(args) -> int:
+    levels = _parse_levels(args.levels) if args.levels else None
     vf, _ = rsff.read_field(args.snapshot)
     if vf.grid.d != 3:
         raise ValueError(f"{args.snapshot}: slice-image needs a 3D field, "
@@ -144,7 +158,6 @@ def _cmd_slice_image(args) -> int:
     if not 0 <= args.axis3 < vals.shape[2]:
         raise ValueError(f"slice index {args.axis3} out of range "
                          f"0..{vals.shape[2] - 1}")
-    levels = [float(x) for x in args.levels.split(",")] if args.levels else None
     write_ppm(args.out, banded_rgb(vals[:, :, args.axis3], levels))
     return 0
 
@@ -199,9 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# pass/fail bounds: argparse's float() also accepts nan and inf
+_BOUND_OPTIONS = ("threshold", "min_order", "tol")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest in _BOUND_OPTIONS:
+            value = getattr(args, dest, None)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValueError(f"--{dest.replace('_', '-')} must be finite "
+                                 f"and >= 0, got {value}")
         return args.fn(args)
     except (OSError, ValueError) as exc:  # unreadable or malformed input
         print(f"error: {exc}", file=sys.stderr)

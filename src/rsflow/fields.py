@@ -12,8 +12,11 @@ exactly periodic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,12 +83,10 @@ class Grid:
         return np.stack(full, axis=-1)
 
 
-def _as_values(grid, values):
+def _shaped(grid, values):
     v = np.asarray(values, dtype=np.float64)
     if v.shape != grid.dims:
         raise ValueError(f"values shape {v.shape} does not match grid dims {grid.dims}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("field contains NaN or Inf")
     return v
 
 
@@ -95,7 +96,10 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_values(self.grid, self.values))
+        values = _shaped(self.grid, self.values)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("field contains NaN or Inf")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "ScalarField":
@@ -110,37 +114,39 @@ class ScalarField:
     def l2(self) -> float:
         return float(np.sqrt(np.mean(self.values ** 2)))
 
-    def __add__(self, other):
+    # Arithmetic skips the NaN/Inf scan: inputs are checked where they
+    # enter (this constructor, RSFF reads, DiscreteMap, step_rk4).
+    def _result(self, values) -> "ScalarField":
+        out = object.__new__(ScalarField)
+        object.__setattr__(out, "grid", self.grid)
+        object.__setattr__(out, "values", _shaped(self.grid, values))
+        return out
+
+    def _operand(self, other):
         if isinstance(other, ScalarField):
-            self._check_grid(other)
-            other = other.values
-        return ScalarField(self.grid, self.values + other)
+            if other.grid != self.grid:
+                raise ValueError("fields live on different grids")
+            return other.values
+        return other
+
+    def __add__(self, other):
+        return self._result(self.values + self._operand(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, ScalarField):
-            self._check_grid(other)
-            other = other.values
-        return ScalarField(self.grid, self.values - other)
+        return self._result(self.values - self._operand(other))
 
     def __rsub__(self, other):
-        return ScalarField(self.grid, other - self.values)
+        return self._result(other - self.values)
 
     def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            self._check_grid(other)
-            other = other.values
-        return ScalarField(self.grid, self.values * other)
+        return self._result(self.values * self._operand(other))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ScalarField(self.grid, -self.values)
-
-    def _check_grid(self, other):
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
+        return self._result(-self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,9 +179,86 @@ class VectorField:
 # derivatives
 # ----------------------------------------------------------------------
 
-def _shift(values, axis: int):
-    """Periodic neighbour lookup along ``axis``: ``s(k)[i] == values[i + k]``."""
-    return lambda k: np.roll(values, -k, axis)
+# Arrays of at least this many elements are differentiated in one slab per
+# CPU on a thread pool (numpy releases the GIL inside the ufuncs).  On a
+# 2-vCPU VM two threads lost to one at 64^3 and won at 96^3 and 128^3.
+_SLAB_MIN_SIZE = 2 ** 19
+
+
+@functools.cache
+def _slab_pool():
+    """(executor, slab count) over the CPUs this process may run on; made
+    on first use, so importing rsflow starts no thread."""
+    try:
+        ncpu = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        ncpu = os.cpu_count() or 1
+    if ncpu < 2:
+        return None, 1
+    return ThreadPoolExecutor(ncpu, thread_name_prefix="rsflow-stencil"), ncpu
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's threads, so the inherited
+    # pool would never run a slab: the child makes its own on first use
+    os.register_at_fork(after_in_child=_slab_pool.cache_clear)
+
+
+def _pair(op, values, axis: int, k: int, out) -> None:
+    """``out[i] = op(values[i + k], values[i - k])`` along ``axis``,
+    periodic: the interior and the two wrapped edges, three slices each."""
+    n = values.shape[axis]
+
+    def sl(a, b):
+        return (slice(None),) * axis + (slice(a, b),)
+
+    op(values[sl(2 * k, n)], values[sl(0, n - 2 * k)], out=out[sl(k, n - k)])
+    op(values[sl(k, 2 * k)], values[sl(n - k, n)], out=out[sl(0, k)])
+    op(values[sl(0, k)], values[sl(n - 2 * k, n - k)], out=out[sl(n - k, n)])
+
+
+def _first(values, axis, scale, out, tmp):
+    _pair(np.subtract, values, axis, 1, out)
+    out *= 8.0
+    _pair(np.subtract, values, axis, 2, tmp)
+    out -= tmp
+    out /= scale
+
+
+def _second(values, axis, scale, out, tmp):
+    _pair(np.add, values, axis, 1, out)
+    out *= 16.0
+    _pair(np.add, values, axis, 2, tmp)
+    out -= tmp
+    np.multiply(values, 30.0, out=tmp)
+    out -= tmp
+    out /= scale
+
+
+def _stencil(kernel, values, axis: int, scale: float) -> np.ndarray:
+    """Run ``kernel`` into a fresh array, in slabs along a non-derivative
+    axis for large arrays.  The output and the scratch array are allocated
+    here, so the workers write into views and allocate nothing."""
+    values = np.asarray(values)
+    axis = range(values.ndim)[axis]
+    if values.shape[axis] < 4:
+        raise ValueError(f"stencil needs at least 4 points along axis {axis}, "
+                         f"got {values.shape[axis]}")
+    out = np.empty(values.shape, np.result_type(values, 1.0))
+    tmp = np.empty_like(out)
+    big = values.size >= _SLAB_MIN_SIZE and values.ndim > 1
+    pool, nslab = _slab_pool() if big else (None, 1)
+    if pool is None:
+        kernel(values, axis, scale, out, tmp)
+        return out
+    s = 1 if axis == 0 else 0
+    n = values.shape[s]
+    edges = [n * j // nslab for j in range(nslab + 1)]
+    slabs = [(slice(None),) * s + (slice(a, b),) for a, b in zip(edges, edges[1:])]
+    for job in [pool.submit(kernel, values[sl], axis, scale, out[sl], tmp[sl])
+                for sl in slabs]:
+        job.result()
+    return out
 
 
 # Both stencils combine neighbours in symmetric pairs first, so an array
@@ -183,15 +266,15 @@ def _shift(values, axis: int):
 # to exactly 0 there: the RSF zero pattern holds without rounding noise.
 
 def derivative(values, axis: int, h: float) -> np.ndarray:
-    """4th-order centered periodic first derivative of an array along ``axis``."""
-    s = _shift(values, axis)
-    return (8.0 * (s(1) - s(-1)) - (s(2) - s(-2))) / (12.0 * h)
+    """4th-order centered periodic first derivative of an array along ``axis``:
+    ``(8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / 12h``."""
+    return _stencil(_first, values, axis, 12.0 * h)
 
 
 def second_derivative(values, axis: int, h: float) -> np.ndarray:
-    """4th-order centered periodic second derivative of an array along ``axis``."""
-    s = _shift(values, axis)
-    return (16.0 * (s(1) + s(-1)) - (s(2) + s(-2)) - 30.0 * values) / (12.0 * h * h)
+    """4th-order centered periodic second derivative of an array along ``axis``:
+    ``(16 (f[i+1] + f[i-1]) - (f[i+2] + f[i-2]) - 30 f[i]) / 12h^2``."""
+    return _stencil(_second, values, axis, 12.0 * h * h)
 
 
 def partial_derivative(f: ScalarField, axis: int) -> ScalarField:

@@ -87,6 +87,31 @@ def test_canonical_rejects_bad_matrix_file(text, expected, tmp_path, capsys):
     assert expected in cap.err
 
 
+_SLICE = ["slice-image", "--snapshot", "none.rsff", "--component", "u3",
+          "--axis3", "0", "--out", "none.ppm", "--levels"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["check-rsf", "--field", "none.rsff", "--threshold", "nan"], "--threshold"),
+    (["check-rsf", "--field", "none.rsff", "--threshold=-1e-12"], "--threshold"),
+    (["verify-frozen", "--snapshots", "none", "--threshold", "inf"], "--threshold"),
+    (["verify-frozen", "--min-order", "nan"], "--min-order"),
+    (["verify-frozen", "--min-order", "-1"], "--min-order"),
+    (["verify-identities", "--d", "3", "--tol", "nan"], "--tol"),
+    (["verify-identities", "--d", "3", "--tol=-inf"], "--tol"),
+    (_SLICE + ["1,0"], "--levels"),
+    (_SLICE + ["0,0"], "--levels"),
+    (_SLICE + ["nan,1"], "--levels"),
+    (_SLICE + ["0,inf"], "--levels"),
+    (_SLICE + ["0,x"], "--levels")])
+def test_bad_thresholds_and_levels_are_rejected_before_any_work(argv, option,
+                                                                capsys):
+    assert main(argv) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith(f"error: {option} must be ") and cap.err.count("\n") == 1
+
+
 @pytest.fixture(scope="module")
 def sim_outdir(tmp_path_factory):
     out = tmp_path_factory.mktemp("sim")

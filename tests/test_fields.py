@@ -1,8 +1,13 @@
 """Grids, finite differences, interpolation, and closed-form test fields."""
 
+import multiprocessing
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from rsflow import fields as fields_module
 from rsflow.fields import (Grid, Interpolator, ScalarField, VectorField,
                            derivative, divergence, gradient_tensor, interpolate,
                            partial_derivative, restrict, second_derivative,
@@ -84,6 +89,67 @@ def test_stencil_of_axis_constant_array_is_exactly_zero(stencil):
     view = np.broadcast_to(plane[:, :, None], (12, 10, 8))
     for arr in (full, view):
         assert np.all(stencil(arr, 2, 0.37) == 0.0)
+
+
+def _rolled_derivative(values, axis, h):
+    s = lambda k: np.roll(values, -k, axis)  # noqa: E731
+    return (8.0 * (s(1) - s(-1)) - (s(2) - s(-2))) / (12.0 * h)
+
+
+def _rolled_second_derivative(values, axis, h):
+    s = lambda k: np.roll(values, -k, axis)  # noqa: E731
+    return (16.0 * (s(1) + s(-1)) - (s(2) + s(-2)) - 30.0 * values) / (12.0 * h * h)
+
+
+@pytest.mark.parametrize("stencil, rolled", [
+    (derivative, _rolled_derivative),
+    (second_derivative, _rolled_second_derivative)])
+@pytest.mark.parametrize("shape", [(8, 8), (9, 13), (8, 11, 9), (96, 90, 64)])
+def test_stencil_is_bit_identical_to_rolled_formula(stencil, rolled, shape,
+                                                    monkeypatch):
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=shape)
+
+    def check():
+        for arr in (a, a.T, np.broadcast_to(a[:1], shape)):
+            for axis in range(arr.ndim):
+                assert np.array_equal(stencil(arr, axis, 0.37),
+                                      rolled(arr, axis, 0.37)), (arr.shape, axis)
+
+    check()
+    if a.size >= fields_module._SLAB_MIN_SIZE:
+        # the slab path once more, split three ways with uneven slabs,
+        # whatever the CPU count of the test machine
+        with ThreadPoolExecutor(3) as pool:
+            monkeypatch.setattr(fields_module, "_slab_pool", lambda: (pool, 3))
+            check()
+
+
+def _slab_derivative_in_child(values, expected):
+    sys.exit(0 if np.array_equal(derivative(values, 0, 0.37), expected) else 1)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+def test_slab_stencil_runs_in_a_forked_child():
+    # the parent's pool exists before the fork; its threads do not exist
+    # in the child, which must not wait for them
+    a = np.random.default_rng(8).normal(size=(96, 90, 64))
+    expected = derivative(a, 0, 0.37)
+    child = multiprocessing.get_context("fork").Process(
+        target=_slab_derivative_in_child, args=(a, expected))
+    child.start()
+    child.join(timeout=60)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join()
+    assert not alive and child.exitcode == 0
+
+
+def test_stencil_rejects_axis_shorter_than_its_reach():
+    with pytest.raises(ValueError, match="at least 4 points along axis 1"):
+        derivative(np.zeros((8, 3)), 1, 0.1)
 
 
 def test_divergence_equals_gradient_trace():

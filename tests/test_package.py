@@ -1,6 +1,9 @@
 """Package structure: module boundaries that the source must keep."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rsflow"
@@ -27,3 +30,11 @@ def test_imports_are_at_module_level():
                               for node in ast.walk(fn)
                               if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not offenders, offenders
+
+
+def test_import_starts_no_thread():
+    # the stencil's thread pool is made on first use, not at import
+    code = ("import threading, rsflow, rsflow.cli\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
