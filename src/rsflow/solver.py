@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rsff
-from .fields import (TWO_PI, Grid, ScalarField, VectorField, derivative,
+from .fields import (Grid, ScalarField, VectorField, derivative,
                      second_derivative, taylor_green_2d)
 from .rsf import check_rsf, zero_pattern
 from .trig import TrigPoly
@@ -54,7 +54,6 @@ class SolverConfig:
     kmax: int = 2
     amplitude: float = 0.1
     dims: tuple = (64, 64, 64)
-    length: tuple = (TWO_PI, TWO_PI, TWO_PI)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -84,11 +83,7 @@ class SolverConfig:
             dims = dims * 3
         if len(dims) != 3:
             raise ValueError("dims must have 3 entries")
-        length = tuple(float(x) for x in np.atleast_1d(np.asarray(self.length)))
-        if len(length) == 1:
-            length = length * 3
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "length", length)
 
 
 def _parse_value(default, text: str):
@@ -152,8 +147,8 @@ def _laplacian(v, spacing, axes):
 def init_state(cfg: SolverConfig) -> FlowState:
     """Seeded band-limited random RSF initial data; bit-reproducible.
     ``kinematic_tg`` takes steady Taylor-Green u1, u2 and unit density."""
-    grid3 = Grid(cfg.dims, cfg.length)
-    grid2 = Grid(cfg.dims[:2], cfg.length[:2])
+    grid3 = Grid(cfg.dims)
+    grid2 = Grid(cfg.dims[:2])
     ax2 = [grid2.axis_coords(a) for a in range(2)]
     ax3 = [grid3.axis_coords(a) for a in range(3)]
     kinematic = cfg.mode == "kinematic_tg"

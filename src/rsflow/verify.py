@@ -25,7 +25,7 @@ from . import rsff
 from .exterior import (DiscreteMap, KForm, exterior_derivative,
                        lie_derivative_cartan, lie_derivative_components,
                        pullback, wedge)
-from .fields import (Grid, Interpolator, ScalarField, VectorField,
+from .fields import (MIN_DIM, Grid, Interpolator, ScalarField, VectorField,
                      derivative, lagrange4_weights, restrict)
 from .rsf import component_vorticities, decomposition_plan
 from .solver import SimulationResult, SolverConfig, rk4, run_simulation
@@ -44,32 +44,41 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 def _check_snapshot(name, comps, grid: Grid) -> None:
-    """A history snapshot is 3 velocity components on a 3D grid; u1 and
-    u2 may be columnar, given once per column as ``dims[:2]`` arrays."""
+    """A history snapshot is an RSF velocity on a 3D grid: u1 and u2 once
+    per column as ``dims[:2]`` arrays, u3 as a ``dims`` array."""
     if grid.d != 3:
         raise ValueError(f"{name}: velocity history needs a 3D grid, got {grid.d}D")
     if len(comps) != 3:
         raise ValueError(f"{name}: needs 3 velocity components, got {len(comps)}")
     for c, values in enumerate(comps):
-        allowed = (grid.dims, grid.dims[:2]) if c < 2 else (grid.dims,)
-        if np.shape(values) not in allowed:
+        want = grid.dims[:2] if c < 2 else grid.dims
+        if np.shape(values) != want:
             raise ValueError(f"{name}: u{c + 1} has shape {np.shape(values)}, "
-                             f"grid dims are {grid.dims}")
+                             f"expected {want}")
 
 
-def _columns(comps) -> list:
-    """A snapshot with u1 and u2 taken once per column (layer 0), as
-    contiguous 2D arrays that hold no reference to a 3D one."""
-    return [np.ascontiguousarray(comps[0][:, :, 0]),
-            np.ascontiguousarray(comps[1][:, :, 0]), comps[2]]
+def _columns(name, comps, grid: Grid) -> list:
+    """A snapshot given as three 3D arrays, with u1 and u2 taken once per
+    column (layer 0) as contiguous 2D arrays that hold no reference to a
+    3D one.  The frozen-in law holds only for RSF flows, so a u1 or u2
+    that varies along x3 is a ``ValueError``."""
+    layers = [v[..., 0] for v in comps[:2]]
+    _check_snapshot(name, layers + list(comps[2:]), grid)
+    for c, layer in enumerate(layers):
+        dev = float(np.max(np.abs(comps[c] - layer[..., None])))
+        if dev > 0:
+            raise ValueError(f"{name}: u{c + 1} varies along x3 by up to "
+                             f"{dev:.3g}; an RSF history needs u1 and u2 "
+                             f"constant along x3")
+    return [np.ascontiguousarray(v) for v in layers] + [comps[2]]
 
 
 class VelocityHistory:
-    """Uniformly spaced velocity snapshots with cubic time interpolation.
+    """Uniformly spaced RSF velocity snapshots with cubic time interpolation.
 
-    ``columnar`` is the number of leading components held once per column
-    as ``dims[:2]`` arrays: 2 on an RSF history, whose u1 and u2 do not
-    depend on x3, and 0 otherwise.
+    Each snapshot is ``[u1, u2, u3]``: u1 and u2 do not depend on x3 and
+    are held once per column as ``dims[:2]`` arrays, u3 as a ``dims``
+    array.
     """
 
     def __init__(self, grid: Grid, times, snapshots):
@@ -89,25 +98,14 @@ class VelocityHistory:
             raise ValueError("times/snapshots length mismatch")
         for i, comps in enumerate(self.snapshots):
             _check_snapshot(f"snapshot {i}", comps, grid)
-        ndims = {np.ndim(s[c]) for s in self.snapshots for c in (0, 1)}
-        if len(ndims) > 1:
-            raise ValueError("u1 and u2 must be columnar (dims[:2]) in every "
-                             "snapshot or 3D in every snapshot")
-        self.columnar = 2 if ndims == {2} else 0
         self.dt = times[1] - times[0]
-        self._steady = [all(np.array_equal(s[c], self.snapshots[0][c])
-                            for s in self.snapshots) for c in range(3)]
-        h, first = grid.spacing, self.snapshots[0]
-        self._steady_grads = {
-            c: np.stack([derivative(first[c], k, h[k])
-                         for k in range(np.ndim(first[c]))])
-            for c in range(3) if self._steady[c]}
 
     @classmethod
     def from_result(cls, result: SimulationResult) -> "VelocityHistory":
         # the solver's u1 and u2 are 2D; a snapshot holds them broadcast
         return cls(result.grid3, result.times,
-                   [_columns(s) for s in result.snapshots])
+                   [[u1[:, :, 0], u2[:, :, 0], u3]
+                    for u1, u2, u3 in result.snapshots])
 
     @classmethod
     def from_rsff_dir(cls, path) -> "VelocityHistory":
@@ -121,13 +119,8 @@ class VelocityHistory:
             if vf.grid != grid:
                 raise ValueError(f"{f}: grid {vf.grid.dims} differs from "
                                  f"{files[0].name}'s {grid.dims}")
-            comps = [c.values for c in vf.components]
-            _check_snapshot(f, comps, grid)
             times.append(t)
-            snaps.append(comps)
-        # columnar when every vertical layer equals the first, bit for bit
-        if all(np.all(s[c] == s[c][:, :, :1]) for s in snaps for c in (0, 1)):
-            snaps = [_columns(s) for s in snaps]
+            snaps.append(_columns(f, [c.values for c in vf.components], grid))
         return cls(grid, times, snaps)
 
     @property
@@ -139,28 +132,28 @@ class VelocityHistory:
         return self.times[-1]
 
     def velocity_field(self, index: int) -> VectorField:
+        u1, u2, u3 = self.snapshots[index]
         dims = self.grid.dims
         return VectorField.from_arrays(
-            self.grid, [np.broadcast_to(v[:, :, None], dims) if np.ndim(v) == 2
-                        else v for v in self.snapshots[index]])
+            self.grid, [np.broadcast_to(u1[:, :, None], dims),
+                        np.broadcast_to(u2[:, :, None], dims), u3])
 
     def velocity_at(self, t: float) -> tuple:
         """Velocity and its gradient at time t as two stacks, ``(cols,
-        full)``, for the m = ``columnar`` leading components and the rest.
+        full)``.
 
-        ``cols`` has shape ``(m + m * m,) + dims[:2]``: row c is u_c and
-        row m + m * k + c is du_c/dx_k, for c, k < m.  ``full`` has shape
-        ``(4 * (3 - m),) + dims``: row i is u_(m + i) and row
-        (3 - m) * (1 + k) + i is du_(m + i)/dx_k, for k < 3.
+        ``cols`` has shape ``(6,) + dims[:2]``: row c is u_c and row
+        2 + 2k + c is du_c/dx_k, for c, k < 2 (du1/dx3 = du2/dx3 = 0).
+        ``full`` has shape ``(4,) + dims``: row 0 is u3 and row 1 + k is
+        du3/dx_k, for k < 3.
 
         Cubic Lagrange in time over the 4 snapshots j..j+3 around t.
         """
         j = int(np.searchsorted(self.times, t)) - 2
         j = max(0, min(j, len(self.times) - 4))
         w = lagrange4_weights((t - self.times[j + 1]) / self.dt)
-        m = self.columnar
-        return (self._stack(range(m), self.grid.dims[:2], j, w),
-                self._stack(range(m, 3), self.grid.dims, j, w))
+        return (self._stack((0, 1), self.grid.dims[:2], j, w),
+                self._stack((2,), self.grid.dims, j, w))
 
     def _stack(self, comps, dims, j, w) -> np.ndarray:
         n, nd = len(comps), len(dims)
@@ -168,10 +161,6 @@ class VelocityHistory:
         grads = out[n:].reshape((nd, n) + dims)
         h = self.grid.spacing
         for i, c in enumerate(comps):
-            if self._steady[c]:
-                out[i] = self.snapshots[0][c]
-                grads[:, i] = self._steady_grads[c]
-                continue
             acc = w[0] * self.snapshots[j][c]
             for m in range(1, 4):
                 acc = acc + w[m] * self.snapshots[j + m][c]
@@ -202,13 +191,11 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
     One particle per node of the (optionally stride-subsampled) grid.
     The Jacobian evolves as dJ/dt = J . grad u evaluated along the path.
 
-    The m = ``history.columnar`` leading components of the path and the
-    block J[:m, :m] depend only on the column, so they advance once per
-    column with a 2D gather.  The rest of the path and the columns
-    J[:, m:] advance per particle with a 3D gather of the other
-    components; J[m:, :m] is zero because it is never computed.  On a
-    history without columnar components (m = 0) the columnar block is
-    empty.
+    The horizontal path x_h and the block J[:2, :2] depend only on the
+    column, so they advance once per column with a 2D gather of u1, u2
+    and their gradients.  x3 and the column J[:, 2] advance per particle
+    with a 3D gather of u3 and its gradient; J[2, :2] is zero because it
+    is never computed.
     """
     if not (history.t0 - 1e-12 <= t0 <= t1 <= history.t1 + 1e-12):
         raise ValueError("requested interval outside history span")
@@ -219,20 +206,19 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
         coarse = fine
     else:
         coarse = Grid(tuple(n // stride for n in fine.dims), fine.length)
-    m = history.columnar
-    cols = Grid(fine.dims[:2], fine.length[:2])
+    plane = Grid(fine.dims[:2], fine.length[:2])
     pts = coarse.points().reshape(-1, coarse.dims[2], 3)  # column, layer, axis
     ncol = len(pts)
-    # state: x[:m] and J[:m, :m] per column, x[m:] and J[:, m:] per particle
+    # state: x[:2] and J[:2, :2] per column, x[2:] and J[:, 2:] per particle
     jac = np.broadcast_to(np.eye(3), pts.shape[:2] + (3, 3))
-    y = [pts[:, 0, :m], jac[:, 0, :m, :m], pts[..., m:], jac[..., m:]]
+    y = [pts[:, 0, :2], jac[:, 0, :2, :2], pts[..., 2:], jac[..., 2:]]
 
-    def assemble(xh, jh, xf, jf):
-        x = np.concatenate([np.broadcast_to(xh[:, None], xf.shape[:2] + (m,)),
-                            xf], axis=-1)
-        jac = np.zeros(xf.shape[:2] + (3, 3))
-        jac[..., :m, :m] = jh[:, None]
-        jac[..., m:] = jf
+    def assemble(xh, jh, xv, jv):
+        x = np.concatenate([np.broadcast_to(xh[:, None], xv.shape[:2] + (2,)),
+                            xv], axis=-1)
+        jac = np.zeros(xv.shape[:2] + (3, 3))
+        jac[..., :2, :2] = jh[:, None]
+        jac[..., 2:] = jv
         return x, jac
 
     memo = {}  # the velocity stacks at the last stage time only
@@ -241,17 +227,16 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
         if t not in memo:
             memo.clear()
             memo[t] = history.velocity_at(t)
-        stacks = memo[t]
+        cols, full = memo[t]
         xh, jh = state[:2]
         x, jac = assemble(*state)
-        vh = Interpolator(cols, xh)(stacks[0]) if m else np.empty((0, ncol))
-        vf = Interpolator(fine, x)(stacks[1])
-        grad_h = np.moveaxis(vh[m:].reshape(m, m, ncol), -1, 0)
-        grad_f = np.moveaxis(vf[3 - m:].reshape((3, 3 - m) + x.shape[:2]),
-                             (0, 1), (-2, -1))
+        vh = Interpolator(plane, xh)(cols)
+        vf = Interpolator(fine, x)(full)
+        grad_h = np.moveaxis(vh[2:].reshape(2, 2, ncol), -1, 0)
+        grad_v = np.moveaxis(vf[1:], 0, -1)[..., None]
         # copy the velocity rows: a view would keep the gradient rows alive
-        return [vh[:m].T.copy(), jh @ grad_h,
-                np.moveaxis(vf[:3 - m], 0, -1).copy(), jac @ grad_f]
+        return [vh[:2].T.copy(), jh @ grad_h,
+                vf[0][..., None].copy(), jac @ grad_v]
 
     # k2 and k3 share a stage time, and a substep ends at the bit-equal
     # start time of the next, so each distinct time is evaluated once
@@ -517,6 +502,8 @@ def frozen_convergence_study(resolutions=(32, 64, 128)) -> VerificationReport:
     res = sorted(resolutions)
     if len(res) < 3:
         raise ValueError("need at least 3 resolutions")
+    if res[0] < MIN_DIM:
+        raise ValueError(f"resolutions must be at least {MIN_DIM}, got {res[0]}")
     for a, b in zip(res, res[1:]):
         if b % a:
             raise ValueError(f"resolutions must be nested, got {a} and {b}")

@@ -237,24 +237,34 @@ def test_verify_frozen_without_snapshots_is_a_one_line_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["3d_two_components", "2d_three_components",
-                                  "mixed_grids", "three_snapshots"])
+                                  "mixed_grids", "three_snapshots", "u1_sin_x3"])
 def test_verify_frozen_rejects_bad_snapshot_sets(kind, tmp_path, capsys):
     grids = {"3d_two_components": [Grid.cube(3, 8)] * 3,
              "2d_three_components": [Grid((8, 8))] * 3,
              "mixed_grids": [Grid.cube(3, 8)] * 2 + [Grid.cube(3, 16)],
-             "three_snapshots": [Grid.cube(3, 8)] * 3}[kind]
+             "three_snapshots": [Grid.cube(3, 8)] * 3,
+             "u1_sin_x3": [Grid.cube(3, 8)] * 4}[kind]
     ncomp = 2 if kind == "3d_two_components" else 3
     for i, g in enumerate(grids):  # unsteady: the values change per snapshot
+        comps = [np.full(g.dims, 0.1 * i)] * ncomp
+        if kind == "u1_sin_x3":  # not an RSF flow: du1/dx3 != 0
+            comps[0] = np.sin(g.points()[..., 2])
         rsff.write_field(tmp_path / f"snap_{i:04d}.rsff",
-                         VectorField.from_arrays(
-                             g, [np.full(g.dims, 0.1 * i)] * ncomp), 0.1 * i)
+                         VectorField.from_arrays(g, comps), 0.1 * i)
     assert main(["verify-frozen", "--snapshots", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     expected = {"mixed_grids": "snap_0002.rsff",
-                "three_snapshots": "needs at least 4 snapshots, got 3"
+                "three_snapshots": "needs at least 4 snapshots, got 3",
+                "u1_sin_x3": "snap_0000.rsff: u1 varies along x3"
                 }.get(kind, "snap_0000.rsff")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert expected in err
+
+
+def test_verify_frozen_rejects_resolution_below_min_dim(capsys):
+    # rejected before any run, not a ZeroDivisionError from the nesting check
+    assert main(["verify-frozen", "--resolutions", "0", "32", "64"]) == 2
+    assert capsys.readouterr().err == "error: resolutions must be at least 8, got 0\n"
 
 
 def test_simulate_rejects_bad_config_values(tmp_path, capsys):

@@ -2,11 +2,16 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rsflow"
+from rsflow.solver import SolverConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rsflow"
 
 
 def test_no_private_names_imported_across_modules():
@@ -38,3 +43,10 @@ def test_import_starts_no_thread():
             "assert threading.active_count() == 1, threading.enumerate()\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_readme_lists_the_config_keys():
+    text = (ROOT / "README.md").read_text()
+    keys = re.search(r"keys are the fields of\s+`SolverConfig`:(.*?)\.\s",
+                     text, re.S).group(1)
+    assert re.findall(r"`(\w+)`", keys) == [f.name for f in fields(SolverConfig)]

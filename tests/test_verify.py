@@ -16,8 +16,13 @@ from rsflow.verify import (VelocityHistory, advect_flowmap, fit_order,
 
 
 def _constant_history(grid, u, times):
-    comps = [np.full(grid.dims, v) for v in u]
+    comps = [np.full(grid.dims[:2], u[0]), np.full(grid.dims[:2], u[1]),
+             np.full(grid.dims, u[2])]
     return VelocityHistory(grid, times, [comps] * len(times))
+
+
+def _snapshot_shapes(h):
+    return {tuple(np.shape(v) for v in s) for s in h.snapshots}
 
 
 # ----------------------------------------------------------------------
@@ -39,29 +44,35 @@ def test_history_rejects_too_few_snapshots():
             _constant_history(g, (1.0, 0.0, 0.0), times)
 
 
-def test_history_detects_steady_components():
+def test_history_holds_rsf_snapshot_shapes():
     g = Grid.cube(3, 8)
     h = _constant_history(g, (0.3, -0.2, 0.1), [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert h._steady == [True, True, True]
+    assert _snapshot_shapes(h) == {((8, 8), (8, 8), (8, 8, 8))}
 
 
 def test_history_from_rsff_keeps_steady_horizontal_flow(tmp_path):
-    # steadiness is read from the values, so it survives a file round trip
+    # the steady u1, u2 survive a file round trip bit for bit
     cfg = SolverConfig(mode="kinematic_tg", dims=(16, 16, 16), t_end=0.5,
                        amplitude=0.1, kmax=1, snapshot_stride=1)
     run_simulation(cfg, outdir=tmp_path, keep_history=False)
     h = VelocityHistory.from_rsff_dir(tmp_path)
     assert len(h.times) >= 3
-    assert h._steady == [True, True, False]
-    assert h.columnar == 2
+    assert _snapshot_shapes(h) == {((16, 16), (16, 16), (16, 16, 16))}
+    for c in (0, 1):
+        assert all(np.array_equal(s[c], h.snapshots[0][c]) for s in h.snapshots)
 
 
 def test_history_rejects_mixed_columnar_snapshots():
+    # u1 and u2 are held once per column, so a 3D u1 is rejected: in one
+    # snapshot of four, in all four, and as u1 = sin x3, which is not RSF
     g = Grid.cube(3, 8)
     flat = [np.zeros(g.dims[:2]), np.zeros(g.dims[:2]), np.zeros(g.dims)]
     full = [np.zeros(g.dims)] * 3
-    with pytest.raises(ValueError, match="columnar"):
-        VelocityHistory(g, [0.0, 0.5, 1.0, 1.5], [flat, full, flat, flat])
+    shear = [np.sin(g.points()[..., 2]), np.zeros(g.dims[:2]), np.zeros(g.dims)]
+    for snaps in ([flat, full, flat, flat], [full] * 4, [shear] * 4):
+        with pytest.raises(ValueError,
+                           match=r"u1 has shape \(8, 8, 8\), expected \(8, 8\)"):
+            VelocityHistory(g, [0.0, 0.5, 1.0, 1.5], snaps)
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +122,7 @@ def test_flowmap_keeps_rsf_structural_zeros_exact(mode):
                        amplitude=0.1, kmax=1, snapshot_stride=1)
     h = VelocityHistory.from_result(run_simulation(cfg))
     fmap = advect_flowmap(h, h.t0, h.t1, substeps=2 * (len(h.times) - 1))
-    assert h.columnar == 2
+    assert _snapshot_shapes(h) == {((16, 16), (16, 16), (16, 16, 16))}
     assert np.all(fmap.map.jacobian[..., 2, 0:2] == 0.0)
     # x_h and J_hh advance once per column: constant along axis 2, bit for bit
     for block in (fmap.map.images.components[0].values,
@@ -166,26 +177,6 @@ def test_block_flowmap_matches_unblocked_reference():
     assert np.max(np.abs(images - h.grid.points())) > 1e-2  # particles moved
 
 
-def test_flowmap_general_history_takes_the_3d_block():
-    # u = (sin x3, 0, 0) from 3D arrays: du1/dx3 != 0, so nothing is columnar
-    n, t = 32, 1.0
-    g = Grid.cube(3, n)
-    a = g.points()
-    comps = [np.sin(a[..., 2]), np.zeros(g.dims), np.zeros(g.dims)]
-    h = VelocityHistory(g, [0.0, 0.25, 0.5, 0.75, 1.0], [comps] * 5)
-    assert h.columnar == 0
-    fmap = advect_flowmap(h, 0.0, t, substeps=4)
-    x = [c.values for c in fmap.map.images.components]
-    jac = fmap.map.jacobian
-    np.testing.assert_allclose(x[0], a[..., 0] + t * np.sin(a[..., 2]),
-                               rtol=0, atol=1e-13)
-    assert np.array_equal(x[2], a[..., 2])
-    assert np.all(jac[..., 2, 2] == 1.0)
-    # the stencil's symbol for sin: 1 - h^4/30 + O(h^6)
-    h4 = g.spacing[2] ** 4
-    assert np.max(np.abs(jac[..., 2, 0] - t * np.cos(a[..., 2]))) <= t * h4 / 30
-
-
 def test_flowmap_from_rsff_matches_from_result(tmp_path):
     cfg = SolverConfig(mode="constrained", dims=(16, 16, 16), t_end=0.4,
                        amplitude=0.1, kmax=1, snapshot_stride=1)
@@ -193,7 +184,7 @@ def test_flowmap_from_rsff_matches_from_result(tmp_path):
     maps = []
     for h in (VelocityHistory.from_result(result),
               VelocityHistory.from_rsff_dir(tmp_path)):
-        assert h.columnar == 2
+        assert _snapshot_shapes(h) == {((16, 16), (16, 16), (16, 16, 16))}
         maps.append(advect_flowmap(h, h.t0, h.t1,
                                    substeps=2 * (len(h.times) - 1)).map)
     a, b = maps
@@ -263,7 +254,7 @@ def short_kinematic_history():
 
 def test_velocity_at_stacks_velocity_and_gradient(short_kinematic_history):
     h = short_kinematic_history
-    assert h._steady == [True, True, False]
+    assert _snapshot_shapes(h) == {((32, 32), (32, 32), (32, 32, 32))}
     cols, full = h.velocity_at(0.5 * (h.times[1] + h.times[2]))
     assert cols.shape == (6,) + h.grid.dims[:2]
     assert full.shape == (4,) + h.grid.dims
