@@ -73,18 +73,18 @@ class KForm:
         return KForm(self.d, self.degree, {t: fn(c) for t, c in self.coeffs.items()})
 
     # -- linear algebra ------------------------------------------------
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         if not isinstance(other, KForm):
             return NotImplemented
         if (other.d, other.degree) != (self.d, self.degree):
             raise ValueError("form dimension/degree mismatch")
         out = dict(self.coeffs)
         for t, c in other.coeffs.items():
-            out[t] = out[t] + c if t in out else c
+            _acc(out, t, c, sign)
         return KForm(self.d, self.degree, out)
 
     def __sub__(self, other):
-        return self + other.scale(-1.0)
+        return self.__add__(other, -1)
 
     def scale(self, s) -> "KForm":
         return self.map_coeffs(lambda c: c * s)
@@ -129,8 +129,12 @@ def _sort_with_sign(seq):
     return sign, tuple(seq)
 
 
-def _acc(store, tup, coef):
-    store[tup] = store[tup] + coef if tup in store else coef
+def _acc(store, tup, coef, sign=1):
+    """store[tup] += sign * coef; a sign of -1 subtracts, no pass multiplies."""
+    if tup in store:
+        store[tup] = store[tup] + coef if sign > 0 else store[tup] - coef
+    else:
+        store[tup] = coef if sign > 0 else -coef
 
 
 def _velocity_components(u, d):
@@ -189,7 +193,7 @@ def exterior_derivative(omega: KForm) -> KForm:
             if srt is None:
                 continue
             sign, ntup = srt
-            _acc(out, ntup, c.diff(a - 1) * float(sign))
+            _acc(out, ntup, c.diff(a - 1), sign)
     return KForm(d, omega.degree + 1, out)
 
 
@@ -211,7 +215,7 @@ def wedge(alpha: KForm, beta: KForm) -> KForm:
             if srt is None:
                 continue
             sign, merged = srt
-            _acc(out, merged, (c1 * c2) * float(sign))
+            _acc(out, merged, c1 * c2, sign)
     return KForm(alpha.d, deg, out)
 
 
@@ -227,7 +231,7 @@ def interior_product(u, omega: KForm) -> KForm:
             if uc is None:
                 continue
             rest = tup[:m] + tup[m + 1:]
-            _acc(out, rest, (uc * c) * float((-1) ** m))
+            _acc(out, rest, uc * c, (-1) ** m)
     return KForm(omega.d, omega.degree - 1, out)
 
 
@@ -265,7 +269,7 @@ def lie_derivative_components(u, omega: KForm) -> KForm:
                 if srt is None:
                     continue
                 sign, ntup = srt
-                _acc(out, ntup, (c * u_slot.diff(k - 1)) * float(sign))
+                _acc(out, ntup, c * u_slot.diff(k - 1), sign)
     return KForm(omega.d, omega.degree, out)
 
 

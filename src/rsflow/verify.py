@@ -34,8 +34,8 @@ from .trig import TrigPoly
 __all__ = [
     "VelocityHistory", "FlowMap", "VerificationReport", "advect_flowmap",
     "pullback_error", "residual_pde", "lemma1_check", "identity_suite",
-    "wedge_invariant_study", "frozen_in_errors", "kinematic_frozen_case",
-    "frozen_convergence_study", "fit_order",
+    "wedge_invariant_study", "frozen_in_errors", "kinematic_history",
+    "kinematic_frozen_case", "frozen_convergence_study", "fit_order",
 ]
 
 
@@ -445,29 +445,25 @@ def frozen_in_errors(history: VelocityHistory,
             "flowmap": fmap.health}
 
 
-def kinematic_frozen_case(n: int, seed: int = 11,
-                          wrong_velocity: bool = False) -> dict:
-    """One manufactured frozen-in run at resolution n^3.
-
-    Integrates the kinematic Taylor-Green scenario to t = 1 (u3 of
-    amplitude 0.3 with wavenumbers up to 1), advects the flow map over the
-    full interval and reports normalized pullback errors of the
-    horizontal component 2-form and of the remainder component.
-
-    ``wrong_velocity`` advects the map with the horizontal field negated
-    (the transport is then wrong for the same forms): the negative
-    control.
-    """
+def kinematic_history(n: int, seed: int = 11) -> VelocityHistory:
+    """The manufactured frozen-in history at resolution n^3: the kinematic
+    Taylor-Green scenario integrated to t = 1 (u3 of amplitude 0.3 with
+    wavenumbers up to 1), one snapshot every 2 steps."""
     cfg = SolverConfig(mode="kinematic_tg", dims=(n, n, n), t_end=1.0,
                        snapshot_stride=2, seed=seed, kmax=1, amplitude=0.3)
-    result = run_simulation(cfg, keep_history=True)
-    history = VelocityHistory.from_result(result)
-    transport = history
-    if wrong_velocity:
-        corrupted = [[-s[0], -s[1], s[2]] for s in history.snapshots]
-        transport = VelocityHistory(history.grid, history.times, corrupted)
+    result = run_simulation(cfg)
+    try:
+        return VelocityHistory.from_result(result)
+    except ValueError as exc:  # too few snapshots on a coarse grid
+        raise ValueError(f"resolution {n}: {exc}") from exc
+
+
+def kinematic_frozen_case(n: int, seed: int = 11) -> dict:
+    """Pullback errors of :func:`kinematic_history` advected through
+    itself (:func:`frozen_in_errors`), with n and the snapshot count."""
+    history = kinematic_history(n, seed)
     return {"n": n, "snapshots": len(history.times),
-            **frozen_in_errors(history, transport)}
+            **frozen_in_errors(history, history)}
 
 
 def fit_order(ns, errors) -> float:
@@ -505,6 +501,8 @@ def frozen_convergence_study(resolutions=(32, 64, 128)) -> VerificationReport:
     if res[0] < MIN_DIM:
         raise ValueError(f"resolutions must be at least {MIN_DIM}, got {res[0]}")
     for a, b in zip(res, res[1:]):
+        if a == b:
+            raise ValueError(f"resolutions must be distinct, got {a} twice")
         if b % a:
             raise ValueError(f"resolutions must be nested, got {a} and {b}")
     report = VerificationReport("kinematic_tg_frozen", list(res))

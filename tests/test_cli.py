@@ -267,6 +267,18 @@ def test_verify_frozen_rejects_resolution_below_min_dim(capsys):
     assert capsys.readouterr().err == "error: resolutions must be at least 8, got 0\n"
 
 
+@pytest.mark.parametrize("resolutions, message", [
+    # rejected before any run, not a fit over two distinct sizes
+    ("32 32 64", "resolutions must be distinct, got 32 twice"),
+    # N = 8 gives 3 snapshots, too few for the history; the error names N
+    ("8 16 32", "resolution 8: cubic time interpolation needs at least 4 "
+                "snapshots, got 3"),
+], ids=["repeated", "too_few_snapshots"])
+def test_verify_frozen_rejects_bad_resolution_sets(resolutions, message, capsys):
+    assert main(["verify-frozen", "--resolutions", *resolutions.split()]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_simulate_rejects_bad_config_values(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mode=constrained\ndims=16,16,8\nt_end=-1\n")

@@ -18,8 +18,10 @@ from rsflow.exterior import (DiscreteMap, KForm, antisym_matrix_rep,
                              interior_product, lie_derivative_cartan,
                              lie_derivative_components, pullback,
                              velocity_from_form, wedge)
-from rsflow.fields import Grid, ScalarField, VectorField, gradient_tensor
-from rsflow.rsf import sym_antisym_split
+from rsflow.fields import (Grid, ScalarField, VectorField, derivative,
+                           gradient_tensor)
+from rsflow.rsf import (component_vorticities, decomposition_plan,
+                        sym_antisym_split)
 from rsflow.trig import TrigPoly
 from rsflow.verify import _random_form
 
@@ -73,6 +75,31 @@ def test_dd_zero_on_grid_coefficients():
     rng = np.random.default_rng(2)
     omega = _sample_form(_random_form(3, 1, rng), g)
     assert exterior_derivative(exterior_derivative(omega)).max_abs() <= 1e-13
+
+
+def test_component_vorticities_are_bit_equal_to_the_explicit_curl():
+    # the permutation sign picks add or subtract; a reordering of that
+    # fold would change bits that a tolerance would not see
+    g = Grid((12, 10, 8))
+    rng = np.random.default_rng(6)
+    u1, u2 = (np.broadcast_to(rng.normal(size=g.dims[:2])[..., None], g.dims)
+              for _ in range(2))
+    comps = [u1, u2, rng.normal(size=g.dims)]  # RSF: u1, u2 constant in x3
+    u = VectorField.from_arrays(g, comps)
+    omega_h, omega_rest = component_vorticities(u, decomposition_plan(3))
+    for form, (m, n) in ((omega_h, (1, 2)), (omega_rest, (1, 3)),
+                         (omega_rest, (2, 3))):
+        curl = (derivative(comps[n - 1], m - 1, g.spacing[m - 1])
+                - derivative(comps[m - 1], n - 1, g.spacing[n - 1]))
+        assert np.array_equal(form.coeff((m, n)).values, curl)
+
+
+def test_kform_arithmetic_with_a_non_form_is_a_type_error():
+    omega = _random_form(3, 1, np.random.default_rng(7))
+    with pytest.raises(TypeError):
+        omega + 3
+    with pytest.raises(TypeError):
+        omega - 3
 
 
 def test_top_degree_derivative_is_zero_form():
