@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,7 @@ def _cmd_verify_frozen(args) -> int:
         ok = all(e["l2_normalized"] <= args.threshold for e in errs.values())
     else:
         report = frozen_convergence_study(tuple(args.resolutions))
-        out = json.loads(report.to_json())
+        out = asdict(report)
         ok = (report.orders["omega_h"] >= args.min_order
               and report.orders["omega_rest"] >= args.min_order)
     text = json.dumps(out, indent=2)

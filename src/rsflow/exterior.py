@@ -180,12 +180,10 @@ def exterior_derivative(omega: KForm) -> KForm:
     """d on sorted-tuple coefficients.
 
     For a 1-form this yields coefficient u_{n,m} - u_{m,n} on dx_m^dx_n.
-    Applying d to a top-degree form returns the zero (k+1)-form by
-    convention.
+    Applying d to a top-degree form gives the zero (k+1)-form: every
+    merged tuple repeats an axis.
     """
     d = omega.d
-    if omega.degree >= d:
-        return KForm(d, omega.degree + 1, {})
     out: dict = {}
     for tup, c in omega.coeffs.items():
         for a in range(1, d + 1):
@@ -205,9 +203,6 @@ def wedge(alpha: KForm, beta: KForm) -> KForm:
     gb = beta.grid
     if ga is not None and gb is not None and ga != gb:
         raise ValueError("mismatched grids")
-    deg = alpha.degree + beta.degree
-    if deg > alpha.d:
-        return KForm(alpha.d, deg, {})
     out: dict = {}
     for t1, c1 in alpha.coeffs.items():
         for t2, c2 in beta.coeffs.items():
@@ -216,7 +211,7 @@ def wedge(alpha: KForm, beta: KForm) -> KForm:
                 continue
             sign, merged = srt
             _acc(out, merged, c1 * c2, sign)
-    return KForm(alpha.d, deg, out)
+    return KForm(alpha.d, alpha.degree + beta.degree, out)
 
 
 def interior_product(u, omega: KForm) -> KForm:
@@ -313,7 +308,7 @@ def pullback(dmap: DiscreteMap, omega: KForm) -> KForm:
     """Pull a grid k-form back through the map.
 
     Coefficients of omega are interpolated at the image points and
-    contracted with k x k Jacobian minors.
+    contracted with k x k Jacobian minors (the 0 x 0 minor is 1).
     """
     grid = dmap.grid
     k = omega.degree
@@ -331,8 +326,6 @@ def pullback(dmap: DiscreteMap, omega: KForm) -> KForm:
     images = list(omega.coeffs)
     sampled = Interpolator(src_grid, pts)(
         np.stack([omega.coeffs[img].values for img in images]))
-    if k == 0:
-        return KForm(grid.d, 0, {(): ScalarField(grid, sampled[0])})
     out: dict = {}
     for dom in itertools.combinations(range(1, grid.d + 1), k):
         acc = None

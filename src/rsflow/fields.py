@@ -340,6 +340,11 @@ class Interpolator:
             n = grid.dims[a]
             stride = math.prod(grid.dims[a + 1:])
             s = flat[:, a] / h
+            bad = ~(np.abs(s) < 2.0 ** 62)  # the int64 cell index must not overflow
+            if bad.any():
+                p = int(np.argmax(bad))
+                raise ValueError(f"point {p} has coordinate {flat[p, a]} on axis "
+                                 f"{a}: not finite or 2**62 or more cells from 0")
             snapped = np.rint(s)
             s = np.where(np.abs(s - snapped) < 1e-9, snapped, s)
             i0 = np.floor(s).astype(np.int64)

@@ -211,14 +211,13 @@ def rhs(state: FlowState, cfg: SolverConfig):
     if np.min(rho) <= 0.0:
         raise RuntimeError(f"density non-positive at t={state.time:.6g}")
 
+    pi = cfg.c ** 2 * np.log(rho)
     if cfg.mode == "constrained":
-        pi = cfg.c ** 2 * np.log(rho)
         gp1, gp2 = derivative(pi, 0, h2[0]), derivative(pi, 1, h2[1])
         du3 = du3_adv
         drho = -(derivative(rho * u1, 0, h2[0])
                  + derivative(rho * u2, 1, h2[1]))
     else:  # free: 3D density
-        pi = cfg.c ** 2 * np.log(rho)
         gp1_3d, gp2_3d = derivative(pi, 0, h3[0]), derivative(pi, 1, h3[1])
         gp1 = gp1_3d.mean(axis=2)
         gp2 = gp2_3d.mean(axis=2)
@@ -313,19 +312,12 @@ def assemble_velocity(state: FlowState) -> VectorField:
     return VectorField.from_arrays(state.grid3, assemble_velocity_arrays(state))
 
 
-def rsf_deviation(state: FlowState) -> float:
-    return check_rsf(assemble_velocity(state), zero_pattern(3))
-
-
-DIAG_HEADER = ["time", "energy", "mass", "rho_min", "rho_max", "umax",
-               "rsf_dev", "pressure_residual"]
-
-
 def diagnostics(state: FlowState, cfg: SolverConfig) -> dict:
     g3 = state.grid3
     rho3 = state.rho if state.rho.ndim == 3 else \
         np.broadcast_to(state.rho[:, :, None], g3.dims)
-    u1b, u2b, u3 = assemble_velocity_arrays(state)
+    vel = assemble_velocity(state)
+    u1b, u2b, u3 = (c.values for c in vel.components)
     dv = g3.cell_volume
     energy = 0.5 * dv * float(np.sum(rho3 * (u1b ** 2 + u2b ** 2 + u3 ** 2)))
     if state.rho.ndim == 2:
@@ -337,7 +329,7 @@ def diagnostics(state: FlowState, cfg: SolverConfig) -> dict:
     return {"time": state.time, "energy": energy, "mass": mass,
             "rho_min": float(np.min(state.rho)),
             "rho_max": float(np.max(state.rho)), "umax": umax,
-            "rsf_dev": rsf_deviation(state),
+            "rsf_dev": check_rsf(vel, zero_pattern(3)),
             "pressure_residual": pressure_consistency_residual(state, cfg)}
 
 
@@ -389,7 +381,7 @@ def run_simulation(cfg: SolverConfig, outdir=None,
 
     if out is not None:
         with open(out / "diagnostics.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=DIAG_HEADER)
+            writer = csv.DictWriter(fh, fieldnames=list(result.diagnostics[0]))
             writer.writeheader()
             for row in result.diagnostics:
                 writer.writerow(row)

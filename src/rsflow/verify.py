@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +97,14 @@ class VelocityHistory:
         if len(self.snapshots) != len(times):
             raise ValueError("times/snapshots length mismatch")
         for i, comps in enumerate(self.snapshots):
-            _check_snapshot(f"snapshot {i}", comps, grid)
+            name = f"snapshot {i} (t = {times[i]:.6g})"
+            _check_snapshot(name, comps, grid)
+            for c, values in enumerate(comps):
+                finite = np.isfinite(values)
+                if not finite.all():
+                    node = np.unravel_index(np.argmin(finite), finite.shape)
+                    raise ValueError(f"{name}: u{c + 1} = {values[node]} at node "
+                                     f"{tuple(int(k) for k in node)}")
         self.dt = times[1] - times[0]
 
     @classmethod
@@ -202,10 +209,10 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
     if substeps < 1:
         raise ValueError("need at least one substep")
     fine = history.grid
-    if stride == 1:
-        coarse = fine
-    else:
-        coarse = Grid(tuple(n // stride for n in fine.dims), fine.length)
+    if stride < 1 or any(n % stride for n in fine.dims):
+        raise ValueError(f"particle stride {stride} must be >= 1 and divide "
+                         f"every axis of the grid {fine.dims}")
+    coarse = Grid(tuple(n // stride for n in fine.dims), fine.length)
     plane = Grid(fine.dims[:2], fine.length[:2])
     pts = coarse.points().reshape(-1, coarse.dims[2], 3)  # column, layer, axis
     ncol = len(pts)
@@ -248,8 +255,9 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
 
     x, jac = assemble(*y)
     x, jac = x.reshape(-1, 3), jac.reshape(-1, 3, 3)
-    det = np.linalg.det(jac)
-    if np.min(det) <= 0:
+    with np.errstate(invalid="ignore"):  # the fold check names a NaN det J
+        det = np.linalg.det(jac)
+    if not np.min(det) > 0:
         bad = int(np.argmin(det))
         raise RuntimeError(f"flow map folded: det J = {det[bad]:.3g} "
                            f"at particle {bad}")
@@ -487,10 +495,7 @@ class VerificationReport:
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps({"scenario": self.scenario,
-                           "resolutions": self.resolutions,
-                           "metrics": self.metrics, "orders": self.orders,
-                           "extras": self.extras}, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def frozen_convergence_study(resolutions=(32, 64, 128)) -> VerificationReport:

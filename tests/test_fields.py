@@ -216,6 +216,14 @@ def test_interpolator_rejects_values_on_another_grid():
         itp(np.zeros((16, 16, 16)))
 
 
+@pytest.mark.parametrize("coord", [np.nan, np.inf, 1e30])
+def test_interpolator_rejects_coordinates_it_cannot_index(coord):
+    # 1e30 / h overflows the int64 cell index; NaN and inf have none
+    f = ScalarField(Grid.cube(2, 8), np.ones((8, 8)))
+    with pytest.raises(ValueError, match=r"on axis 0: not finite or 2\*\*62"):
+        interpolate(f, [coord, 0.0])
+
+
 def test_interpolation_accuracy_off_nodes():
     g = Grid.cube(2, 64)
     rng = np.random.default_rng(4)

@@ -8,8 +8,8 @@ import pytest
 
 from rsflow.fields import derivative
 from rsflow.solver import (SolverConfig, cfl_dt, diagnostics, format_config,
-                           init_state, parse_config, rhs, rk4, rsf_deviation,
-                           run_simulation, step_rk4)
+                           init_state, parse_config, rhs, rk4, run_simulation,
+                           step_rk4)
 
 
 SMALL = dict(dims=(16, 16, 8), t_end=0.05, amplitude=0.05, snapshot_stride=2)
@@ -75,7 +75,7 @@ def test_rest_state_is_exact_fixed_point():
 def test_initial_state_is_exact_rsf():
     # broadcast horizontal components: the paired stencil gives exact zeros
     cfg = SolverConfig(mode="constrained", **SMALL)
-    assert rsf_deviation(init_state(cfg)) == 0.0
+    assert diagnostics(init_state(cfg), cfg)["rsf_dev"] == 0.0
 
 
 def test_rsf_structure_preserved_during_run():

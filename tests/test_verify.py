@@ -50,6 +50,16 @@ def test_history_holds_rsf_snapshot_shapes():
     assert _snapshot_shapes(h) == {((8, 8), (8, 8), (8, 8, 8))}
 
 
+def test_history_rejects_non_finite_values_naming_time_and_node():
+    g = Grid.cube(3, 8)
+    clean = [np.zeros(g.dims[:2]), np.zeros(g.dims[:2]), np.zeros(g.dims)]
+    bad = clean[:2] + [np.zeros(g.dims)]
+    bad[2][3, 4, 5] = np.nan
+    with pytest.raises(ValueError,
+                       match=r"snapshot 2 \(t = 1\): u3 = nan at node \(3, 4, 5\)"):
+        VelocityHistory(g, [0.0, 0.5, 1.0, 1.5], [clean, clean, bad, clean])
+
+
 def test_history_from_rsff_keeps_steady_horizontal_flow(tmp_path):
     # the steady u1, u2 survive a file round trip bit for bit
     cfg = SolverConfig(mode="kinematic_tg", dims=(16, 16, 16), t_end=0.5,
@@ -202,6 +212,35 @@ def test_flowmap_fold_is_loud_and_names_the_particle():
     with pytest.raises(RuntimeError,
                        match=r"flow map folded: det J = -\S+ at particle 192"):
         advect_flowmap(h, 0.0, 1.0, substeps=1)
+
+
+def test_flowmap_names_the_particle_of_a_non_finite_det_j():
+    # a NaN gradient entry reaches J but not the paths, so det J is NaN
+    # while every particle position stays finite
+    g = Grid.cube(3, 8)
+    h = _constant_history(g, (0.3, -0.2, 0.1), [0.0, 0.5, 1.0, 1.5])
+    evaluate = h.velocity_at
+
+    def poisoned(t):
+        cols, full = evaluate(t)
+        full = full.copy()
+        full[1, 0, 0, 0] = np.nan  # du3/dx1 at node 0
+        return cols, full
+
+    h.velocity_at = poisoned
+    with pytest.raises(RuntimeError,
+                       match=r"flow map folded: det J = nan at particle \d+"):
+        advect_flowmap(h, 0.0, 1.0, substeps=1)
+
+
+@pytest.mark.parametrize("stride", [0, -1, 3])
+def test_flowmap_rejects_a_stride_that_does_not_divide_the_grid(stride):
+    g = Grid.cube(3, 32)
+    h = _constant_history(g, (1.0, 0.0, 0.0), [0.0, 0.5, 1.0, 1.5])
+    with pytest.raises(ValueError, match=rf"stride {stride} must be >= 1 and "
+                                         rf"divide every axis of the grid "
+                                         rf"\(32, 32, 32\)"):
+        advect_flowmap(h, 0.0, 1.0, substeps=1, stride=stride)
 
 
 def test_flowmap_rejects_interval_outside_history():
