@@ -317,13 +317,40 @@ def lagrange4_weights(t):
     )
 
 
+def lagrange4_taps(x, h: float, n: int, axis: int = 0) -> tuple:
+    """The 4 periodic taps of cubic Lagrange interpolation along one axis
+    of ``n`` nodes spaced ``h``: node indices (mod ``n``) and weights, 4
+    arrays each, shaped like the coordinates ``x``.
+
+    A coordinate within 1e-9 cells of a node snaps onto it, so its weights
+    are exactly (0, 1, 0, 0).  A coordinate that is not finite or lies
+    2**62 or more cells from 0, where the int64 cell index would overflow,
+    is a ``ValueError`` naming its flat index and ``axis``.
+    """
+    x = np.asarray(x, dtype=float)
+    s = x / h
+    bad = ~(np.abs(s) < 2.0 ** 62)
+    if bad.any():
+        p = int(np.argmax(bad))
+        raise ValueError(f"point {p} has coordinate {x.flat[p]} on axis "
+                         f"{axis}: not finite or 2**62 or more cells from 0")
+    snapped = np.rint(s)
+    s = np.where(np.abs(s - snapped) < 1e-9, snapped, s)
+    i0 = np.floor(s).astype(np.int64)
+    return [np.mod(i0 + o, n) for o in (-1, 0, 1, 2)], lagrange4_weights(s - i0)
+
+
 class Interpolator:
     """Periodic 4-point Lagrange interpolation at a fixed set of points.
 
-    Precomputes indices and weights once; one call interpolates a whole
-    stack of fields (velocity components, gradient entries, form
-    coefficients) at the same points.  Points landing on grid nodes
-    reproduce nodal values bit-exactly.
+    Precomputes indices and weights once (:func:`lagrange4_taps` per
+    axis); one call interpolates a whole stack of fields (velocity
+    components, gradient entries, form coefficients) at the same points.
+    Points landing on grid nodes reproduce nodal values bit-exactly.
+
+    Trailing line axes carry whole lines through the gather: with
+    ``line_axes=1`` a 2D interpolator on the (x1, x2) plane reads every
+    x3-line of a 3D stack at once, leaving 4 taps per point along x3.
     """
 
     def __init__(self, grid: Grid, points):
@@ -336,33 +363,24 @@ class Interpolator:
         self._idx = []  # per axis and offset: node index times C-order stride
         self._w = []
         for a in range(grid.d):
-            h = grid.spacing[a]
-            n = grid.dims[a]
+            idx, w = lagrange4_taps(flat[:, a], grid.spacing[a], grid.dims[a], a)
             stride = math.prod(grid.dims[a + 1:])
-            s = flat[:, a] / h
-            bad = ~(np.abs(s) < 2.0 ** 62)  # the int64 cell index must not overflow
-            if bad.any():
-                p = int(np.argmax(bad))
-                raise ValueError(f"point {p} has coordinate {flat[p, a]} on axis "
-                                 f"{a}: not finite or 2**62 or more cells from 0")
-            snapped = np.rint(s)
-            s = np.where(np.abs(s - snapped) < 1e-9, snapped, s)
-            i0 = np.floor(s).astype(np.int64)
-            t = s - i0
-            self._idx.append([np.mod(i0 + o, n) * stride for o in (-1, 0, 1, 2)])
-            self._w.append(lagrange4_weights(t))
+            self._idx.append([i * stride for i in idx])
+            self._w.append(w)
 
-    def __call__(self, values) -> np.ndarray:
-        """Interpolate fields of shape ``extra + grid.dims``; returns
-        ``extra + shape`` (a single field is the case ``extra == ()``)."""
+    def __call__(self, values, *, line_axes: int = 0) -> np.ndarray:
+        """Interpolate fields of shape ``extra + grid.dims + line``, where
+        ``line`` is the last ``line_axes`` axes; returns ``extra + shape +
+        line`` (a single field is the case ``extra == line == ()``)."""
         values = np.asarray(values, dtype=float)
         d = self.grid.d
-        if values.shape[-d:] != self.grid.dims:
-            raise ValueError(f"values shape {values.shape} does not end in "
-                             f"grid dims {self.grid.dims}")
-        extra = values.shape[:-d]
-        rows = values.reshape(-1, self.grid.npoints)
-        out = np.zeros((rows.shape[0], self._idx[0][0].size))
+        end = values.ndim - line_axes
+        if line_axes < 0 or end < d or values.shape[end - d:end] != self.grid.dims:
+            raise ValueError(f"values shape {values.shape} is not extra + "
+                             f"grid dims {self.grid.dims} + {line_axes} line axes")
+        extra, line = values.shape[:end - d], values.shape[end:]
+        rows = values.reshape(-1, self.grid.npoints, math.prod(line))
+        out = np.zeros((rows.shape[0], self._idx[0][0].size, rows.shape[2]))
         for offs in itertools.product(range(4), repeat=d):
             w = self._w[0][offs[0]]
             flat = self._idx[0][offs[0]]
@@ -370,9 +388,9 @@ class Interpolator:
                 w = w * self._w[a][offs[a]]
                 flat = flat + self._idx[a][offs[a]]
             tap = rows.take(flat, axis=1)
-            tap *= w
+            tap *= w[:, None]
             out += tap
-        return out.reshape(extra + self.shape)
+        return out.reshape(extra + self.shape + line)
 
 
 def interpolate(f: ScalarField, point) -> float | np.ndarray:

@@ -14,9 +14,8 @@ same statement through independent machinery.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from .exterior import (DiscreteMap, KForm, exterior_derivative,
                        lie_derivative_cartan, lie_derivative_components,
                        pullback, wedge)
 from .fields import (MIN_DIM, Grid, Interpolator, ScalarField, VectorField,
-                     derivative, lagrange4_weights, restrict)
+                     derivative, lagrange4_taps, lagrange4_weights, restrict)
 from .rsf import component_vorticities, decomposition_plan
 from .solver import SimulationResult, SolverConfig, rk4, run_simulation
 from .trig import TrigPoly
@@ -198,11 +197,16 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
     One particle per node of the (optionally stride-subsampled) grid.
     The Jacobian evolves as dJ/dt = J . grad u evaluated along the path.
 
-    The horizontal path x_h and the block J[:2, :2] depend only on the
-    column, so they advance once per column with a 2D gather of u1, u2
-    and their gradients.  x3 and the column J[:, 2] advance per particle
-    with a 3D gather of u3 and its gradient; J[2, :2] is zero because it
-    is never computed.
+    Every particle of a column shares (x1, x2): the horizontal path x_h
+    and the block J[:2, :2] advance once per column.  One
+    :class:`Interpolator` on the (x1, x2) plane per RK stage gathers u1,
+    u2 and their gradients at the columns with 16 taps, and with the
+    same 16 taps whole x3-lines of u3 and its gradient (trailing line
+    axes); 4 taps per particle along x3 then give x3's velocity and the
+    slope of the column J[:, 2]:
+    d J[:2, 2]/dt = J[:2, :2] . grad_h u3 + J[:2, 2] du3/dx3 and
+    d J[2, 2]/dt = J[2, 2] du3/dx3.  J[2, :2] is zero because it is never
+    computed; the full x and J are assembled once, at t1.
     """
     if not (history.t0 - 1e-12 <= t0 <= t1 <= history.t1 + 1e-12):
         raise ValueError("requested interval outside history span")
@@ -212,21 +216,22 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
     if stride < 1 or any(n % stride for n in fine.dims):
         raise ValueError(f"particle stride {stride} must be >= 1 and divide "
                          f"every axis of the grid {fine.dims}")
-    coarse = Grid(tuple(n // stride for n in fine.dims), fine.length)
+    dims = tuple(n // stride for n in fine.dims)
+    if min(dims) < MIN_DIM:
+        raise ValueError(f"particle stride {stride} leaves {dims} particles "
+                         f"on the grid {fine.dims}; every axis needs at "
+                         f"least MIN_DIM = {MIN_DIM}")
+    coarse = Grid(dims, fine.length)
     plane = Grid(fine.dims[:2], fine.length[:2])
-    pts = coarse.points().reshape(-1, coarse.dims[2], 3)  # column, layer, axis
+    n2, h2 = fine.dims[2], fine.spacing[2]
+    pts = coarse.points().reshape(-1, dims[2], 3)  # column, layer, axis
     ncol = len(pts)
-    # state: x[:2] and J[:2, :2] per column, x[2:] and J[:, 2:] per particle
-    jac = np.broadcast_to(np.eye(3), pts.shape[:2] + (3, 3))
-    y = [pts[:, 0, :2], jac[:, 0, :2, :2], pts[..., 2:], jac[..., 2:]]
-
-    def assemble(xh, jh, xv, jv):
-        x = np.concatenate([np.broadcast_to(xh[:, None], xv.shape[:2] + (2,)),
-                            xv], axis=-1)
-        jac = np.zeros(xv.shape[:2] + (3, 3))
-        jac[..., :2, :2] = jh[:, None]
-        jac[..., 2:] = jv
-        return x, jac
+    line_start = np.arange(ncol)[:, None] * n2  # of each x3-line, flattened
+    # state, component axes first: x_h (2, col), J[:2, :2] (2, 2, col),
+    # x3 (col, layer), J[:, 2] (3, col, layer)
+    y = [pts[:, 0, :2].T, np.broadcast_to(np.eye(2)[..., None], (2, 2, ncol)),
+         pts[..., 2], np.broadcast_to(np.eye(3)[:, 2, None, None],
+                                      (3,) + pts.shape[:2])]
 
     memo = {}  # the velocity stacks at the last stage time only
 
@@ -235,15 +240,19 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
             memo.clear()
             memo[t] = history.velocity_at(t)
         cols, full = memo[t]
-        xh, jh = state[:2]
-        x, jac = assemble(*state)
-        vh = Interpolator(plane, xh)(cols)
-        vf = Interpolator(fine, x)(full)
-        grad_h = np.moveaxis(vh[2:].reshape(2, 2, ncol), -1, 0)
-        grad_v = np.moveaxis(vf[1:], 0, -1)[..., None]
+        xh, jh, x3, jv = state
+        itp = Interpolator(plane, xh.T)
+        vh = itp(cols)
+        lines = itp(full, line_axes=1).reshape(len(full), -1)
+        idx, w = lagrange4_taps(x3, h2, n2, axis=2)
+        v = sum(lines.take(line_start + i, axis=1) * wi for i, wi in zip(idx, w))
+        gh = vh[2:].reshape(2, 2, ncol)  # [k, c] = du_c/dx_k
+        g = v[1:]  # du3/dx_k
+        djv = jv * g[2]
+        djv[:2] += jh[:, 0, :, None] * g[0] + jh[:, 1, :, None] * g[1]
         # copy the velocity rows: a view would keep the gradient rows alive
-        return [vh[:2].T.copy(), jh @ grad_h,
-                vf[0][..., None].copy(), jac @ grad_v]
+        return [vh[:2].copy(), jh[:, :1] * gh[0] + jh[:, 1:] * gh[1],
+                v[0].copy(), djv]
 
     # k2 and k3 share a stage time, and a substep ends at the bit-equal
     # start time of the next, so each distinct time is evaluated once
@@ -253,7 +262,13 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
         y = rk4(deriv, y, t, dt)
         t += dt
 
-    x, jac = assemble(*y)
+    xh, jh, x3, jv = y
+    x = np.empty(pts.shape)
+    x[..., :2] = xh.T[:, None]
+    x[..., 2] = x3
+    jac = np.zeros(pts.shape + (3,))
+    jac[..., :2, :2] = np.moveaxis(jh, -1, 0)[:, None]
+    jac[..., 2] = np.moveaxis(jv, 0, -1)
     x, jac = x.reshape(-1, 3), jac.reshape(-1, 3, 3)
     with np.errstate(invalid="ignore"):  # the fold check names a NaN det J
         det = np.linalg.det(jac)
@@ -261,10 +276,9 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
         bad = int(np.argmin(det))
         raise RuntimeError(f"flow map folded: det J = {det[bad]:.3g} "
                            f"at particle {bad}")
-    shape = coarse.dims
     images = VectorField.from_arrays(
-        coarse, [x[:, c].reshape(shape) for c in range(3)])
-    dmap = DiscreteMap(coarse, images, jac.reshape(shape + (3, 3)))
+        coarse, [x[:, c].reshape(dims) for c in range(3)])
+    dmap = DiscreteMap(coarse, images, jac.reshape(dims + (3, 3)))
     health = {"particles": len(x), "substeps": substeps,
               "det_min": float(np.min(det)), "det_max": float(np.max(det))}
     return FlowMap(t0, t1, dmap, health)
@@ -493,9 +507,6 @@ class VerificationReport:
     metrics: dict = field(default_factory=dict)   # name -> list of errors
     orders: dict = field(default_factory=dict)    # name -> fitted order
     extras: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def frozen_convergence_study(resolutions=(32, 64, 128)) -> VerificationReport:

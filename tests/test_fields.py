@@ -10,8 +10,8 @@ import pytest
 from rsflow import fields as fields_module
 from rsflow.fields import (Grid, Interpolator, ScalarField, VectorField,
                            derivative, divergence, gradient_tensor, interpolate,
-                           partial_derivative, restrict, second_derivative,
-                           taylor_green_2d)
+                           lagrange4_taps, partial_derivative, restrict,
+                           second_derivative, taylor_green_2d)
 from rsflow.trig import TrigPoly
 
 
@@ -208,6 +208,51 @@ def test_interpolating_a_stack_equals_one_call_per_field():
         assert np.array_equal(row, itp(f))
     assert np.array_equal(itp(stack.reshape((3, 1) + g.dims))[:, 0], got)
     assert np.array_equal(Interpolator(g, g.points())(stack), stack)
+
+
+def _column_gather(grid, stack, xh, x3):
+    """The flow map's column-structured 3D gather: whole x3-lines at the
+    columns ``xh``, then 4 taps along x3 at ``x3`` (column, layer)."""
+    plane = Grid(grid.dims[:2], grid.length[:2])
+    lines = Interpolator(plane, xh)(stack, line_axes=1)
+    assert lines.shape == stack.shape[:1] + (len(xh), grid.dims[2])
+    idx, w = lagrange4_taps(x3, grid.spacing[2], grid.dims[2], axis=2)
+    start = np.arange(len(xh))[:, None] * grid.dims[2]
+    flat = lines.reshape(len(stack), -1)
+    return sum(flat.take(start + i, axis=1) * wi for i, wi in zip(idx, w))
+
+
+def test_line_axes_then_vertical_taps_equal_the_3d_gather():
+    g = Grid((16, 12, 20))  # unequal axes, so a mixed-up n2 or stride shows
+    rng = np.random.default_rng(8)
+    stack = np.stack([_sample(TrigPoly.random(3, 2, rng), g).values
+                      for _ in range(4)])
+    xh = rng.uniform(-1.0, 7.0, size=(9, 2))
+    x3 = rng.uniform(-1.0, 7.0, size=(9, 5))
+    got = _column_gather(g, stack, xh, x3)
+    pts = np.concatenate([np.broadcast_to(xh[:, None], (9, 5, 2)),
+                          x3[..., None]], axis=-1)
+    want = Interpolator(g, pts)(stack)
+    assert got.shape == want.shape == (4, 9, 5)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # on nodes both passes have weights (0, 1, 0, 0): bit-exact
+    nodes = g.points()
+    on = _column_gather(g, stack, nodes[:, :, 0, :2].reshape(-1, 2),
+                        nodes[..., 2].reshape(-1, g.dims[2]))
+    assert np.array_equal(on, stack.reshape(on.shape))
+
+
+def test_interpolator_line_axes_carry_whole_lines():
+    g = Grid((8, 10))
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((3,) + g.dims + (4, 5))
+    itp = Interpolator(g, rng.uniform(-1.0, 7.0, size=(6, 2)))
+    got = itp(stack, line_axes=2)
+    assert got.shape == (3, 6, 4, 5)
+    for i, j in np.ndindex(4, 5):
+        assert np.array_equal(got[..., i, j], itp(stack[..., i, j]))
+    with pytest.raises(ValueError, match="grid dims"):
+        itp(stack, line_axes=1)
 
 
 def test_interpolator_rejects_values_on_another_grid():

@@ -187,6 +187,24 @@ def test_block_flowmap_matches_unblocked_reference():
     assert np.max(np.abs(images - h.grid.points())) > 1e-2  # particles moved
 
 
+def test_strided_flowmap_on_a_non_cubic_grid_is_the_unstrided_one_subsampled():
+    # each particle advances by elementwise arithmetic on its own column and
+    # layer, so dropping particles changes no bit of the others; with
+    # n2 = 24, 12 layers and 64 columns, a vertical pass that confuses the
+    # line length, the layer count or the column count reads wrong lines
+    cfg = SolverConfig(mode="constrained", dims=(16, 16, 24), t_end=0.4,
+                       amplitude=0.2, kmax=1, snapshot_stride=1)
+    h = VelocityHistory.from_result(run_simulation(cfg))
+    substeps = 2 * (len(h.times) - 1)
+    full = advect_flowmap(h, h.t0, h.t1, substeps).map
+    half = advect_flowmap(h, h.t0, h.t1, substeps, stride=2).map
+    assert half.grid.dims == (8, 8, 12)
+    assert np.array_equal(half.jacobian, full.jacobian[::2, ::2, ::2])
+    for a, b in zip(half.images.components, full.images.components):
+        assert np.array_equal(a.values, b.values[::2, ::2, ::2])
+    assert np.max(np.abs(full.jacobian[..., 0:2, 2])) > 1e-3  # J[:2, 2] moved
+
+
 def test_flowmap_from_rsff_matches_from_result(tmp_path):
     cfg = SolverConfig(mode="constrained", dims=(16, 16, 16), t_end=0.4,
                        amplitude=0.1, kmax=1, snapshot_stride=1)
@@ -241,6 +259,16 @@ def test_flowmap_rejects_a_stride_that_does_not_divide_the_grid(stride):
                                          rf"divide every axis of the grid "
                                          rf"\(32, 32, 32\)"):
         advect_flowmap(h, 0.0, 1.0, substeps=1, stride=stride)
+
+
+def test_flowmap_rejects_a_stride_that_leaves_too_few_particles():
+    g = Grid.cube(3, 8)
+    h = _constant_history(g, (1.0, 0.0, 0.0), [0.0, 0.5, 1.0, 1.5])
+    with pytest.raises(ValueError, match=r"stride 2 leaves \(4, 4, 4\) "
+                                         r"particles on the grid \(8, 8, 8\); "
+                                         r"every axis needs at least "
+                                         r"MIN_DIM = 8"):
+        advect_flowmap(h, 0.0, 1.0, substeps=1, stride=2)
 
 
 def test_flowmap_rejects_interval_outside_history():
