@@ -1,12 +1,14 @@
 """Differential-forms algebra over sampled or closed-form coefficients.
 
-A :class:`KForm` stores coefficients over sorted 1-based index tuples
-(absent tuple = zero coefficient).  Coefficients may be grid
-:class:`~rsflow.fields.ScalarField` objects (finite-difference
-derivatives) or :class:`~rsflow.trig.TrigPoly` objects (exact
-derivatives); every operation here only needs ``+``, ``-``, ``*`` and
-``.diff(axis)`` from the coefficient type, so the same code path serves
-both the production route and the machine-precision oracle route.
+A :class:`KForm` stores coefficients over sorted 1-based index tuples, and
+zero is absence: no stored coefficient ``.is_zero()``, and a velocity's
+missing or all-zero component is an absent 1-form coefficient.
+Coefficients may be grid :class:`~rsflow.fields.ScalarField` objects
+(finite-difference derivatives) or :class:`~rsflow.trig.TrigPoly` objects
+(exact derivatives); every operation here only needs ``+``, ``-``, ``*``,
+``.diff(axis)`` and ``.is_zero()`` from the coefficient type, so the same
+code path serves both the production route and the machine-precision
+oracle route.
 
 Two independent Lie-derivative implementations are provided on purpose:
 the contraction form ``iota_u d + d iota_u`` and the raw component
@@ -41,7 +43,7 @@ def _check_tuple(tup, degree, d):
 
 
 class KForm:
-    """Degree-k differential form as a sparse map tuple -> coefficient."""
+    """Degree-k differential form as a sparse map tuple -> nonzero coefficient."""
 
     def __init__(self, d: int, degree: int, coeffs: dict | None = None):
         if degree < 0:
@@ -53,7 +55,8 @@ class KForm:
             for tup, c in coeffs.items():
                 tup = tuple(int(a) for a in tup)
                 _check_tuple(tup, degree, d)
-                self.coeffs[tup] = c
+                if not c.is_zero():
+                    self.coeffs[tup] = c
 
     # -- bookkeeping ---------------------------------------------------
     @property
@@ -98,9 +101,7 @@ class KForm:
 
     # -- norms ---------------------------------------------------------
     def max_abs(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(c.max_abs() for c in self.coeffs.values())
+        return max((c.max_abs() for c in self.coeffs.values()), default=0.0)
 
     def l2(self) -> float:
         return float(np.sqrt(sum(c.l2() ** 2 for c in self.coeffs.values())))
@@ -137,43 +138,27 @@ def _acc(store, tup, coef, sign=1):
         store[tup] = coef if sign > 0 else -coef
 
 
-def _velocity_components(u, d):
-    """Velocity as a list of d coefficient slots (None = zero component)."""
-    comps = list(u.components) if isinstance(u, VectorField) else list(u)
-    if len(comps) > d:
-        raise ValueError(f"velocity has {len(comps)} components for dimension {d}")
-    return comps + [None] * (d - len(comps))
-
-
 # ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
 
 def form_from_velocity(u) -> KForm:
     """The velocity 1-form: coefficient of dx_i is u_i."""
-    if isinstance(u, VectorField):
-        d = u.grid.d
-        comps = u.components
-    else:
-        comps = list(u)
-        d = comps[0].d if isinstance(comps[0], TrigPoly) else comps[0].grid.d
+    comps = u.components if isinstance(u, VectorField) else list(u)
+    d = comps[0].d if isinstance(comps[0], TrigPoly) else comps[0].grid.d
     return KForm(d, 1, {(i + 1,): c for i, c in enumerate(comps)})
 
 
-def velocity_from_form(form: KForm, ncomp: int | None = None) -> VectorField:
-    """Inverse of :func:`form_from_velocity` for grid-coefficient 1-forms."""
+def velocity_from_form(form: KForm) -> VectorField:
+    """Inverse of :func:`form_from_velocity` for grid-coefficient 1-forms:
+    d components, the absent ones as zeros."""
     if form.degree != 1:
         raise ValueError("need a 1-form")
     grid = form.grid
     if grid is None:
         raise ValueError("form has no grid coefficients")
-    if ncomp is None:
-        ncomp = max(t[0] for t in form.coeffs)
-    comps = []
-    for i in range(1, ncomp + 1):
-        c = form.coeff((i,))
-        comps.append(c if c is not None else ScalarField.zeros(grid))
-    return VectorField(grid, tuple(comps))
+    return VectorField(grid, tuple(form.coeffs.get((i,)) or ScalarField.zeros(grid)
+                                   for i in range(1, form.d + 1)))
 
 
 def exterior_derivative(omega: KForm) -> KForm:
@@ -215,18 +200,16 @@ def wedge(alpha: KForm, beta: KForm) -> KForm:
 
 
 def interior_product(u, omega: KForm) -> KForm:
-    """First-slot contraction iota_u; missing velocity components are zero."""
+    """First-slot contraction iota_u; absent velocity components are zero."""
     if omega.degree < 1:
         raise ValueError("interior product needs degree >= 1")
-    comps = _velocity_components(u, omega.d)
+    vel = form_from_velocity(u)
     out: dict = {}
     for tup, c in omega.coeffs.items():
         for m, axis in enumerate(tup):
-            uc = comps[axis - 1]
-            if uc is None:
-                continue
-            rest = tup[:m] + tup[m + 1:]
-            _acc(out, rest, uc * c, (-1) ** m)
+            uc = vel.coeff((axis,))
+            if uc is not None:
+                _acc(out, tup[:m] + tup[m + 1:], uc * c, (-1) ** m)
     return KForm(omega.d, omega.degree - 1, out)
 
 
@@ -243,20 +226,17 @@ def lie_derivative_components(u, omega: KForm) -> KForm:
 
     (L_u w)_I = u^k d_k w_I + sum_m w_{I, slot m -> k} d_{i_m} u^k.
     """
-    comps = _velocity_components(u, omega.d)
+    vel = form_from_velocity(u)
     out: dict = {}
     for tup, c in omega.coeffs.items():
         adv = None
-        for k in range(omega.d):
-            uk = comps[k]
-            if uk is None:
-                continue
-            piece = uk * c.diff(k)
+        for (k,), uk in vel.coeffs.items():
+            piece = uk * c.diff(k - 1)
             adv = piece if adv is None else adv + piece
         if adv is not None:
             _acc(out, tup, adv)
         for m, i_m in enumerate(tup):
-            u_slot = comps[i_m - 1]
+            u_slot = vel.coeff((i_m,))
             if u_slot is None:
                 continue
             for k in range(1, omega.d + 1):
@@ -334,8 +314,7 @@ def pullback(dmap: DiscreteMap, omega: KForm) -> KForm:
             cols = [a - 1 for a in img]
             term = vals * np.linalg.det(jac[..., rows, :][..., cols])
             acc = term if acc is None else acc + term
-        if acc is not None and np.any(acc):
-            out[dom] = ScalarField(grid, acc)
+        out[dom] = ScalarField(grid, acc)
     return KForm(grid.d, k, out)
 
 

@@ -90,6 +90,16 @@ def _shaped(grid, values):
     return v
 
 
+def check_finite(name: str, arrays) -> None:
+    """Raise naming the first NaN or Inf: component, value and node."""
+    for c, values in enumerate(arrays):
+        finite = np.isfinite(values)
+        if not finite.all():
+            node = np.unravel_index(np.argmin(finite), finite.shape)
+            raise ValueError(f"{name}: u{c + 1} = {values[node]} at node "
+                             f"{tuple(int(k) for k in node)}")
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     grid: Grid
@@ -113,6 +123,9 @@ class ScalarField:
 
     def l2(self) -> float:
         return float(np.sqrt(np.mean(self.values ** 2)))
+
+    def is_zero(self) -> bool:
+        return not np.any(self.values)  # a NaN is nonzero
 
     # Arithmetic skips the NaN/Inf scan: inputs are checked where they
     # enter (this constructor, RSFF reads, DiscreteMap, step_rk4).

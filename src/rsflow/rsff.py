@@ -7,12 +7,13 @@ component-major then row-major (axis 1 slowest).
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField
+from .fields import Grid, ScalarField, VectorField, check_finite
 
 MAGIC = b"RSFF"
 VERSION = 1
@@ -39,7 +40,7 @@ def write_field(path, f, time: float = 0.0) -> None:
 
 
 def read_field(path):
-    """Read an RSFF file; returns (VectorField, time)."""
+    """Read an RSFF file; returns (VectorField, time).  Errors name the file."""
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not an RSFF file")
@@ -56,7 +57,12 @@ def read_field(path):
         off += 8
     except struct.error:
         raise ValueError(f"{path}: truncated header ({len(raw)} bytes)") from None
-    grid = Grid(dims, length)
+    try:
+        grid = Grid(dims, length)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not math.isfinite(time):
+        raise ValueError(f"{path}: time {time} is not finite")
     n = grid.npoints
     expected = off + 8 * n * ncomp
     if len(raw) != expected:
@@ -65,5 +71,6 @@ def read_field(path):
     for i in range(ncomp):
         vals = np.frombuffer(raw, dtype="<f8", count=n, offset=off + 8 * n * i)
         comps.append(vals.reshape(dims).astype(np.float64))
+    check_finite(str(path), comps)
     return VectorField.from_arrays(grid, comps), time
 

@@ -25,7 +25,8 @@ from .exterior import (DiscreteMap, KForm, exterior_derivative,
                        lie_derivative_cartan, lie_derivative_components,
                        pullback, wedge)
 from .fields import (MIN_DIM, Grid, Interpolator, ScalarField, VectorField,
-                     derivative, lagrange4_taps, lagrange4_weights, restrict)
+                     check_finite, derivative, lagrange4_taps,
+                     lagrange4_weights, restrict)
 from .rsf import component_vorticities, decomposition_plan
 from .solver import SimulationResult, SolverConfig, rk4, run_simulation
 from .trig import TrigPoly
@@ -98,12 +99,7 @@ class VelocityHistory:
         for i, comps in enumerate(self.snapshots):
             name = f"snapshot {i} (t = {times[i]:.6g})"
             _check_snapshot(name, comps, grid)
-            for c, values in enumerate(comps):
-                finite = np.isfinite(values)
-                if not finite.all():
-                    node = np.unravel_index(np.argmin(finite), finite.shape)
-                    raise ValueError(f"{name}: u{c + 1} = {values[node]} at node "
-                                     f"{tuple(int(k) for k in node)}")
+            check_finite(name, comps)
         self.dt = times[1] - times[0]
 
     @classmethod
@@ -301,11 +297,11 @@ def pullback_error(omega_t1: KForm, flow_map: FlowMap, omega_t0: KForm) -> dict:
     pulled = pullback(flow_map.map, omega_t1)
     ref = _restrict_form(omega_t0, flow_map.map.grid)
     diff = pulled - ref
-    ref_linf = ref.max_abs()
-    ref_l2 = ref.l2()
-    return {"linf": diff.max_abs(), "l2": diff.l2(),
-            "linf_normalized": diff.max_abs() / ref_linf if ref_linf else math.inf,
-            "l2_normalized": diff.l2() / ref_l2 if ref_l2 else math.inf}
+    linf, l2 = diff.max_abs(), diff.l2()
+    ref_linf, ref_l2 = ref.max_abs(), ref.l2()
+    return {"linf": linf, "l2": l2,
+            "linf_normalized": linf / ref_linf if ref_linf else math.inf,
+            "l2_normalized": l2 / ref_l2 if ref_l2 else math.inf}
 
 
 def _lie_residual_terms(u, forms, dt: float) -> tuple:

@@ -1,6 +1,7 @@
 """CLI subcommands, exercised through main() with in-process argv."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -285,3 +286,27 @@ def test_simulate_rejects_bad_config_values(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: t_end must be positive, got -1.0\n"
+
+
+# header offsets of a 3D RSFF file: length at 28, time at 52, values at 60
+@pytest.mark.parametrize("offset, value, message", [
+    (60, np.nan, "u1 = nan at node (0, 0, 0)"),
+    (52, np.nan, "time nan is not finite"),
+    (36, np.inf, "box lengths must be positive and finite"),
+], ids=["nan_value", "nan_time", "inf_length"])
+def test_corrupt_snapshot_is_named_by_check_rsf_and_verify_frozen(
+        offset, value, message, tmp_path, capsys):
+    g = Grid.cube(3, 8)
+    for i in range(4):
+        rsff.write_field(tmp_path / f"snap_{i:04d}.rsff",
+                         VectorField.from_arrays(g, [np.full(g.dims, 0.1 * i)] * 3),
+                         0.1 * i)
+    bad = tmp_path / "snap_0002.rsff"
+    raw = bytearray(bad.read_bytes())
+    struct.pack_into("<d", raw, offset, value)
+    bad.write_bytes(bytes(raw))
+    for argv in (["check-rsf", "--field", str(bad)],
+                 ["verify-frozen", "--snapshots", str(tmp_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1

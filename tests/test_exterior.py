@@ -23,7 +23,14 @@ from rsflow.fields import (Grid, ScalarField, VectorField, derivative,
 from rsflow.rsf import (component_vorticities, decomposition_plan,
                         sym_antisym_split)
 from rsflow.trig import TrigPoly
-from rsflow.verify import _random_form
+
+
+def _random_form(d, degree, rng):
+    """Random TrigPoly coefficients on up to three shuffled tuples."""
+    pool = list(itertools.combinations(range(1, d + 1), degree))
+    rng.shuffle(pool)
+    return KForm(d, degree, {tup: TrigPoly.random(d, 2, rng, nterms=2)
+                             for tup in pool[:3]})
 
 
 def _sample(poly, grid):
@@ -87,11 +94,45 @@ def test_component_vorticities_are_bit_equal_to_the_explicit_curl():
     comps = [u1, u2, rng.normal(size=g.dims)]  # RSF: u1, u2 constant in x3
     u = VectorField.from_arrays(g, comps)
     omega_h, omega_rest = component_vorticities(u, decomposition_plan(3))
+    assert omega_h.tuples() == [(1, 2)] and omega_rest.tuples() == [(1, 3), (2, 3)]
     for form, (m, n) in ((omega_h, (1, 2)), (omega_rest, (1, 3)),
                          (omega_rest, (2, 3))):
         curl = (derivative(comps[n - 1], m - 1, g.spacing[m - 1])
                 - derivative(comps[m - 1], n - 1, g.spacing[n - 1]))
         assert np.array_equal(form.coeff((m, n)).values, curl)
+
+
+def test_block_diagonal_d4_components_store_one_tuple_each():
+    # criterion 5's flow has this structure: one cell per coordinate plane
+    g = Grid.cube(4, 8)
+    rng = np.random.default_rng(15)
+    cells = ([rng.normal(size=(8, 8, 1, 1)) for _ in range(2)]
+             + [rng.normal(size=(1, 1, 8, 8)) for _ in range(2)])
+    u = VectorField.from_arrays(g, [np.broadcast_to(c, g.dims) for c in cells])
+    assert ([f.tuples() for f in component_vorticities(u, decomposition_plan(4))]
+            == [[(1, 2)], [(3, 4)]])
+
+
+def test_kform_stores_no_exactly_zero_coefficient():
+    g = Grid.cube(3, 8)
+    ones = ScalarField(g, np.ones(g.dims))
+    sin = TrigPoly.sin(3, (1, 0, 0))
+    assert KForm(3, 1, {(1,): ScalarField.zeros(g), (2,): ones}).tuples() == [(2,)]
+    assert KForm(3, 1, {(1,): sin - sin, (3,): sin}).tuples() == [(3,)]
+    omega = KForm(3, 1, {(1,): ones, (2,): sin * 0.5})
+    assert not (omega - omega).coeffs
+    assert not omega.scale(0.0).coeffs
+    with pytest.raises(ValueError, match="needs grid coefficients"):
+        antisym_matrix_rep(KForm(3, 2, {(1, 2): ScalarField.zeros(g)}))
+
+
+def test_kform_keeps_a_nan_coefficient():
+    g = Grid.cube(3, 8)
+    nan_field = ScalarField.zeros(g) * np.nan  # arithmetic skips the NaN scan
+    nan_poly = TrigPoly.constant(3, 1.0) * np.nan
+    omega = KForm(3, 1, {(1,): nan_field, (2,): nan_poly})
+    assert omega.tuples() == [(1,), (2,)]
+    assert np.isnan(omega.max_abs())
 
 
 def test_kform_arithmetic_with_a_non_form_is_a_type_error():
@@ -187,6 +228,28 @@ def test_cartan_equals_component_transport(d):
             assert diff.max_abs() <= 1e-12
 
 
+@pytest.mark.parametrize("coeffs", ["grid", "trig"])
+def test_all_zero_velocity_component_equals_a_missing_one(coeffs):
+    g = Grid.cube(3, 8)
+    rng = np.random.default_rng(16)
+    omega = _random_form(3, 2, rng)
+    u = [TrigPoly.random(3, 2, rng) for _ in range(2)]
+    zero = TrigPoly.zero(3)
+    if coeffs == "grid":
+        omega = _sample_form(omega, g)
+        u = [_sample(c, g) for c in u]
+        zero = ScalarField.zeros(g)
+    for op in (interior_product, lie_derivative_components):
+        padded, short = op(u + [zero], omega), op(u, omega)
+        assert padded.tuples() == short.tuples()
+        for tup in short.tuples():
+            a, b = padded.coeff(tup), short.coeff(tup)
+            if coeffs == "grid":
+                assert np.array_equal(a.values, b.values)
+            else:
+                assert a.terms == b.terms
+
+
 def test_lie_derivative_of_zero_form_is_advection():
     rng = np.random.default_rng(9)
     u = [TrigPoly.random(3, 2, rng) for _ in range(3)]
@@ -201,13 +264,19 @@ def test_lie_derivative_of_zero_form_is_advection():
 # ----------------------------------------------------------------------
 
 def test_velocity_form_round_trip():
+    # a trailing all-zero component is absent from the form and comes
+    # back as zeros: a velocity 1-form in d dimensions has d components
     g = Grid.cube(3, 8)
     rng = np.random.default_rng(10)
-    u = VectorField(g, tuple(_sample(TrigPoly.random(3, 2, rng), g)
-                             for _ in range(3)))
-    back = velocity_from_form(form_from_velocity(u))
-    for a, b in zip(u.components, back.components):
-        assert np.array_equal(a.values, b.values)
+    for ncomp in (3, 2):
+        comps = [_sample(TrigPoly.random(3, 2, rng), g) for _ in range(ncomp)]
+        u = VectorField(g, tuple(comps + [ScalarField.zeros(g)] * (3 - ncomp)))
+        form = form_from_velocity(u)
+        assert form.tuples() == [(a,) for a in range(1, ncomp + 1)]
+        back = velocity_from_form(form)
+        assert back.ncomp == 3
+        for a, b in zip(u.components, back.components):
+            assert np.array_equal(a.values, b.values)
 
 
 # ----------------------------------------------------------------------

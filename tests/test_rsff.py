@@ -1,5 +1,7 @@
 """RSFF binary container round trips and corruption handling."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -58,3 +60,39 @@ def test_write_is_deterministic(tmp_path):
     rsff.write_field(p1, u, time=2.0)
     rsff.write_field(p2, u, time=2.0)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# header offsets of a 3D file: dims at 16, length at 28, time at 52, values at 60
+def _corrupted(tmp_path, offset, value):
+    g = Grid.cube(3, 8)
+    path = tmp_path / "bad.rsff"
+    rsff.write_field(path, VectorField(g, tuple(_random_field(g, s) for s in range(3))),
+                     time=0.5)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, offset, value)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def test_non_finite_value_is_named_by_file_component_and_node(tmp_path):
+    node = (1, 2, 3)
+    path = _corrupted(tmp_path, 60 + 8 * (8 ** 3 + np.ravel_multi_index(node, (8,) * 3)),
+                      np.nan)
+    with pytest.raises(ValueError) as exc:
+        rsff.read_field(path)
+    assert str(exc.value) == f"{path}: u2 = nan at node (1, 2, 3)"
+
+
+def test_bad_box_length_names_the_file(tmp_path):
+    path = _corrupted(tmp_path, 28 + 8, np.inf)
+    with pytest.raises(ValueError, match="box lengths must be positive") as exc:
+        rsff.read_field(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("time", [np.nan, np.inf])
+def test_non_finite_time_is_rejected(time, tmp_path):
+    path = _corrupted(tmp_path, 52, time)
+    with pytest.raises(ValueError) as exc:
+        rsff.read_field(path)
+    assert str(exc.value) == f"{path}: time {time} is not finite"
