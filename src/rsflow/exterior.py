@@ -28,8 +28,8 @@ from .trig import TrigPoly
 __all__ = [
     "KForm", "DiscreteMap", "form_from_velocity", "velocity_from_form",
     "exterior_derivative", "wedge", "interior_product",
-    "lie_derivative_cartan", "lie_derivative_components", "pullback",
-    "antisym_matrix_rep",
+    "lie_derivative_cartan", "lie_derivative_components", "jacobian_minor",
+    "pullback", "antisym_matrix_rep",
 ]
 
 
@@ -252,14 +252,34 @@ def lie_derivative_components(u, omega: KForm) -> KForm:
 # pullback
 # ----------------------------------------------------------------------
 
+def jacobian_minor(jac, rows, cols):
+    """Determinant of the minor ``jac[..., rows, :][..., cols]`` of a stack
+    of matrices, as the Leibniz sum over the permutations of ``cols``: the
+    0 x 0 minor is 1, and det J is the minor of all rows and columns."""
+    out = None
+    for perm in itertools.permutations(range(len(cols))):  # identity first
+        term = 1.0
+        for r, p in zip(rows, perm):
+            term = term * jac[..., r, cols[p]]
+        if out is None:
+            out = term
+        elif _sort_with_sign(perm)[0] > 0:
+            out = out + term
+        else:
+            out = out - term
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteMap:
-    """Sampled map Phi: images, and the Jacobian as one ``dims + (d, d)``
-    array with ``[..., r, c] = dPhi_c/da_r``."""
+    """Sampled map Phi: images, the Jacobian as one ``dims + (d, d)``
+    array with ``[..., r, c] = dPhi_c/da_r``, and det J, computed here
+    (:func:`jacobian_minor`) unless the caller already has it."""
 
     grid: Grid
     images: VectorField
     jacobian: np.ndarray
+    det: np.ndarray = None
 
     def __post_init__(self):
         d = self.grid.d
@@ -271,10 +291,15 @@ class DiscreteMap:
                              f"expected {self.grid.dims + (d, d)}")
         if not np.all(np.isfinite(jac)):
             raise ValueError("jacobian contains NaN or Inf")
+        det = self.det
+        if det is None:
+            det = jacobian_minor(jac, range(d), range(d))
+        det = np.asarray(det, dtype=np.float64)
+        if det.shape != self.grid.dims:
+            raise ValueError(f"det J has shape {det.shape}, "
+                             f"expected {self.grid.dims}")
         object.__setattr__(self, "jacobian", jac)
-
-    def jacobian_det(self) -> np.ndarray:
-        return np.linalg.det(self.jacobian)
+        object.__setattr__(self, "det", det)
 
     @classmethod
     def identity(cls, grid: Grid) -> "DiscreteMap":
@@ -297,8 +322,7 @@ def pullback(dmap: DiscreteMap, omega: KForm) -> KForm:
     src_grid = omega.grid
     if src_grid is None and omega.coeffs:
         raise ValueError("pullback needs grid coefficients")
-    jac = dmap.jacobian
-    if np.any(np.abs(dmap.jacobian_det()) < 1e-300):
+    if np.any(np.abs(dmap.det) < 1e-300):
         raise ValueError("singular jacobian in pullback")
     pts = np.stack([c.values for c in dmap.images.components], axis=-1)
     if not omega.coeffs:
@@ -312,7 +336,7 @@ def pullback(dmap: DiscreteMap, omega: KForm) -> KForm:
         rows = [a - 1 for a in dom]
         for img, vals in zip(images, sampled):
             cols = [a - 1 for a in img]
-            term = vals * np.linalg.det(jac[..., rows, :][..., cols])
+            term = vals * jacobian_minor(dmap.jacobian, rows, cols)
             acc = term if acc is None else acc + term
         out[dom] = ScalarField(grid, acc)
     return KForm(grid.d, k, out)

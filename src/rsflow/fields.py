@@ -16,6 +16,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -129,11 +130,15 @@ class ScalarField:
 
     # Arithmetic skips the NaN/Inf scan: inputs are checked where they
     # enter (this constructor, RSFF reads, DiscreteMap, step_rk4).
-    def _result(self, values) -> "ScalarField":
-        out = object.__new__(ScalarField)
-        object.__setattr__(out, "grid", self.grid)
-        object.__setattr__(out, "values", _shaped(self.grid, values))
+    @classmethod
+    def _unchecked(cls, grid: Grid, values) -> "ScalarField":
+        out = object.__new__(cls)
+        object.__setattr__(out, "grid", grid)
+        object.__setattr__(out, "values", _shaped(grid, values))
         return out
+
+    def _result(self, values) -> "ScalarField":
+        return self._unchecked(self.grid, values)
 
     def _operand(self, other):
         if isinstance(other, ScalarField):
@@ -180,6 +185,14 @@ class VectorField:
     def from_arrays(cls, grid: Grid, arrays) -> "VectorField":
         return cls(grid, tuple(ScalarField(grid, a) for a in arrays))
 
+    @classmethod
+    def from_finite(cls, name: str, grid: Grid, arrays) -> "VectorField":
+        """Like :meth:`from_arrays`, with one NaN/Inf scan: the one of
+        :func:`check_finite`, which names the first bad value."""
+        arrays = [_shaped(grid, a) for a in arrays]
+        check_finite(name, arrays)
+        return cls(grid, tuple(ScalarField._unchecked(grid, a) for a in arrays))
+
     @property
     def ncomp(self) -> int:
         return len(self.components)
@@ -192,23 +205,36 @@ class VectorField:
 # derivatives
 # ----------------------------------------------------------------------
 
-# Arrays of at least this many elements are differentiated in one slab per
-# CPU on a thread pool (numpy releases the GIL inside the ufuncs).  On a
-# 2-vCPU VM two threads lost to one at 64^3 and won at 96^3 and 128^3.
-_SLAB_MIN_SIZE = 2 ** 19
+# Elements per slab (512 KB of float64): the arrays a slab's job touches
+# stay in cache from one pass over them to the next.
+_SLAB_SIZE = 2 ** 16
+# Work of at least two slabs is cut into x1-slabs that run as jobs on a
+# thread pool (numpy releases the GIL inside the ufuncs); less is one slab
+# in the calling thread.  On a 2-vCPU VM the pool beat one slab from 40^3
+# up (rhs at 64^3: 4.5 against 11.4 ms).
+_SLAB_MIN_SIZE = 2 * _SLAB_SIZE
+
+HALO = 2  # planes a first derivative reads beyond each end of a slab
+
+_in_pool = threading.local()  # .worker is True in the pool's threads
+
+
+def _as_worker(job, a, b):
+    _in_pool.worker = True
+    return job(a, b)
 
 
 @functools.cache
 def _slab_pool():
-    """(executor, slab count) over the CPUs this process may run on; made
-    on first use, so importing rsflow starts no thread."""
+    """An executor with one thread per CPU this process may run on (None
+    for one CPU); made on first use, so importing rsflow starts no thread."""
     try:
         ncpu = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         ncpu = os.cpu_count() or 1
     if ncpu < 2:
-        return None, 1
-    return ThreadPoolExecutor(ncpu, thread_name_prefix="rsflow-stencil"), ncpu
+        return None
+    return ThreadPoolExecutor(ncpu, thread_name_prefix="rsflow-stencil")
 
 
 if hasattr(os, "register_at_fork"):
@@ -217,17 +243,66 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_slab_pool.cache_clear)
 
 
-def _pair(op, values, axis: int, k: int, out) -> None:
-    """``out[i] = op(values[i + k], values[i - k])`` along ``axis``,
-    periodic: the interior and the two wrapped edges, three slices each."""
-    n = values.shape[axis]
+def map_slabs(job, n: int, plane: int) -> list:
+    """``[job(a, b) for each slab]``: ``job`` over consecutive slabs
+    ``[a, b)`` of ``range(n)`` along the slab axis, where one plane across
+    it holds ``plane`` elements.
+
+    ``n * plane`` below ``_SLAB_MIN_SIZE`` is one slab ``(0, n)`` in the
+    calling thread.  Larger work is cut into slabs of about
+    ``_SLAB_SIZE`` elements, run on the thread pool, or in order in the
+    calling thread where there is no pool or the caller is a pool thread
+    (a job waiting on jobs queued behind it would never return).
+    """
+    if n * plane < _SLAB_MIN_SIZE:
+        return [job(0, n)]
+    height = max(1, _SLAB_SIZE // plane)
+    slabs = [(a, min(a + height, n)) for a in range(0, n, height)]
+    pool = _slab_pool()
+    if pool is None or getattr(_in_pool, "worker", False):
+        return [job(a, b) for a, b in slabs]
+    jobs = [pool.submit(_as_worker, job, a, b) for a, b in slabs]
+    return [f.result() for f in jobs]
+
+
+def with_halo(values, a: int, b: int) -> tuple:
+    """``(planes, halo)``: what :func:`derivative` along axis 0 with that
+    ``halo`` reads for the planes ``a`` to ``b - 1`` of the periodic
+    ``values``.  That is planes ``a - HALO`` to ``b - 1 + HALO``, wrapped
+    (a view where nothing wraps), and ``HALO``; for all of ``values``, it
+    is ``values`` and 0, since the stencil then wraps by itself."""
+    values = np.asarray(values)
+    n = values.shape[0]
+    if b - a == n:
+        return values, 0
+    if HALO <= a and b + HALO <= n:
+        return values[a - HALO:b + HALO], HALO
+    return values.take(np.arange(a - HALO, b + HALO) % n, axis=0), HALO
+
+
+def _pair(op, values, axis: int, k: int, out, other=None) -> None:
+    """``out[i] = op(values[i + p + k], values[i + p - k])`` along
+    ``axis`` (``op(values[i + p], other)`` for ``k = 0``), where ``values``
+    carries ``p`` halo planes at each end, as many as it has more than
+    ``out``.  With a halo (``p >= k``) no index wraps; without one
+    (``p = 0``) the indices are periodic: the interior and the two wrapped
+    edges, three slices each."""
+    n = out.shape[axis]
+    p = (values.shape[axis] - n) // 2
 
     def sl(a, b):
         return (slice(None),) * axis + (slice(a, b),)
 
-    op(values[sl(2 * k, n)], values[sl(0, n - 2 * k)], out=out[sl(k, n - k)])
-    op(values[sl(k, 2 * k)], values[sl(n - k, n)], out=out[sl(0, k)])
-    op(values[sl(0, k)], values[sl(n - 2 * k, n - k)], out=out[sl(n - k, n)])
+    if not k:
+        op(values[sl(p, p + n)], other, out=out)
+    elif p:
+        op(values[sl(p + k, p + k + n)], values[sl(p - k, p - k + n)], out=out)
+    else:
+        op(values[sl(2 * k, n)], values[sl(0, n - 2 * k)],
+           out=out[sl(k, n - k)])
+        op(values[sl(k, 2 * k)], values[sl(n - k, n)], out=out[sl(0, k)])
+        op(values[sl(0, k)], values[sl(n - 2 * k, n - k)],
+           out=out[sl(n - k, n)])
 
 
 def _first(values, axis, scale, out, tmp):
@@ -243,34 +318,37 @@ def _second(values, axis, scale, out, tmp):
     out *= 16.0
     _pair(np.add, values, axis, 2, tmp)
     out -= tmp
-    np.multiply(values, 30.0, out=tmp)
+    _pair(np.multiply, values, axis, 0, tmp, 30.0)
     out -= tmp
     out /= scale
 
 
-def _stencil(kernel, values, axis: int, scale: float) -> np.ndarray:
-    """Run ``kernel`` into a fresh array, in slabs along a non-derivative
-    axis for large arrays.  The output and the scratch array are allocated
-    here, so the workers write into views and allocate nothing."""
+def _stencil(kernel, values, axis: int, scale: float, halo: int = 0) -> np.ndarray:
+    """Run ``kernel`` into a fresh array, in x1-slabs for large arrays.
+    ``halo`` planes at each end of ``axis`` are read but not computed."""
     values = np.asarray(values)
     axis = range(values.ndim)[axis]
+    if 0 < halo < HALO:
+        raise ValueError(f"halo {halo} is shorter than the stencil's "
+                         f"reach {HALO}")
     if values.shape[axis] < 4:
         raise ValueError(f"stencil needs at least 4 points along axis {axis}, "
                          f"got {values.shape[axis]}")
-    out = np.empty(values.shape, np.result_type(values, 1.0))
-    tmp = np.empty_like(out)
-    big = values.size >= _SLAB_MIN_SIZE and values.ndim > 1
-    pool, nslab = _slab_pool() if big else (None, 1)
-    if pool is None:
-        kernel(values, axis, scale, out, tmp)
-        return out
-    s = 1 if axis == 0 else 0
-    n = values.shape[s]
-    edges = [n * j // nslab for j in range(nslab + 1)]
-    slabs = [(slice(None),) * s + (slice(a, b),) for a, b in zip(edges, edges[1:])]
-    for job in [pool.submit(kernel, values[sl], axis, scale, out[sl], tmp[sl])
-                for sl in slabs]:
-        job.result()
+    shape = list(values.shape)
+    shape[axis] -= 2 * halo
+    out = np.empty(shape, np.result_type(values, 1.0))
+    n = shape[0]
+
+    def slab(a, b):
+        if axis:
+            src = values[a:b]
+        elif halo:  # the caller's halo planes
+            src = values[a:b + 2 * halo]
+        else:
+            src, _ = with_halo(values, a, b)
+        kernel(src, axis, scale, out[a:b], np.empty_like(out[a:b]))
+
+    map_slabs(slab, n, out.size // n)
     return out
 
 
@@ -278,10 +356,14 @@ def _stencil(kernel, values, axis: int, scale: float) -> np.ndarray:
 # that is constant along ``axis`` (a broadcast view included) differentiates
 # to exactly 0 there: the RSF zero pattern holds without rounding noise.
 
-def derivative(values, axis: int, h: float) -> np.ndarray:
+def derivative(values, axis: int, h: float, halo: int = 0) -> np.ndarray:
     """4th-order centered periodic first derivative of an array along ``axis``:
-    ``(8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / 12h``."""
-    return _stencil(_first, values, axis, 12.0 * h)
+    ``(8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / 12h``.
+
+    With ``halo`` > 0 the array carries that many extra planes at each
+    end of ``axis`` (as :func:`with_halo` gives them): the stencil reads
+    them, the result leaves them out, and no index wraps."""
+    return _stencil(_first, values, axis, 12.0 * h, halo)
 
 
 def second_derivative(values, axis: int, h: float) -> np.ndarray:

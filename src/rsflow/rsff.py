@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField, check_finite
+from .fields import Grid, ScalarField, VectorField
 
 MAGIC = b"RSFF"
 VERSION = 1
@@ -36,7 +36,7 @@ def write_field(path, f, time: float = 0.0) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         for c in comps:
-            fh.write(np.ascontiguousarray(c.values, dtype="<f8").tobytes())
+            np.ascontiguousarray(c.values, dtype="<f8").tofile(fh)
 
 
 def read_field(path):
@@ -71,6 +71,5 @@ def read_field(path):
     for i in range(ncomp):
         vals = np.frombuffer(raw, dtype="<f8", count=n, offset=off + 8 * n * i)
         comps.append(vals.reshape(dims).astype(np.float64))
-    check_finite(str(path), comps)
-    return VectorField.from_arrays(grid, comps), time
+    return VectorField.from_finite(str(path), grid, comps), time
 

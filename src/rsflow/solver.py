@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import rsff
-from .fields import (Grid, ScalarField, VectorField, derivative,
-                     second_derivative, taylor_green_2d)
+from .fields import (Grid, ScalarField, VectorField, derivative, map_slabs,
+                     second_derivative, taylor_green_2d, with_halo)
 from .rsf import check_rsf, zero_pattern
 from .trig import TrigPoly
 
@@ -179,7 +179,12 @@ def init_state(cfg: SolverConfig) -> FlowState:
 def rhs(state: FlowState, cfg: SolverConfig):
     """Tendencies (du1, du2, du3, drho); None marks a frozen variable.
 
-    Raises RuntimeError once max |d3 u3| exceeds U3_GRADIENT_ABORT.
+    The 3D terms are computed one x1-slab at a time (:func:`map_slabs`),
+    so each slab's derivatives and products stay in cache; every value is
+    the one a full-grid pass would give, bit for bit.
+
+    Raises RuntimeError once max |d3 u3| exceeds U3_GRADIENT_ABORT, and
+    then for a non-positive density.
     """
     g2 = state.grid2
     g3 = state.grid3
@@ -188,43 +193,71 @@ def rhs(state: FlowState, cfg: SolverConfig):
     u1, u2, u3 = state.u1, state.u2, state.u3
     u1b = u1[:, :, None]
     u2b = u2[:, :, None]
+    rho = state.rho
+    kinematic = cfg.mode == "kinematic_tg"
+    # checked before the slabs, which take log rho in free mode, and raised
+    # after them: a too steep u3 is reported first
+    positive = kinematic or not np.min(rho) <= 0.0
+    free = cfg.mode == "free" and positive
+    du3 = np.empty(u3.shape)
+    if free:
+        drho = np.empty(u3.shape)
+        gp1 = np.empty(g2.dims)
+        gp2 = np.empty(g2.dims)
 
-    du3_adv = -(u1b * derivative(u3, 0, h3[0])
-                + u2b * derivative(u3, 1, h3[1]))
-    # taken last and dropped after use: held across the other derivatives
-    # it would raise the peak memory of the step
-    d3u3 = derivative(u3, 2, h3[2])
-    steep = float(max(np.max(d3u3), -np.min(d3u3)))
+    def slab(a, b):
+        """Planes a..b-1 of du3 (and of drho, gp1, gp2 when free); returns
+        max and min of d3 u3 there, and the node of max |d3 u3| if it is
+        past the abort value."""
+        own = u3[a:b]
+        out = du3[a:b]
+        u3_h, halo = with_halo(u3, a, b)
+        np.multiply(u1b[a:b], derivative(u3_h, 0, h3[0], halo), out=out)
+        tmp = derivative(own, 1, h3[1])
+        tmp *= u2b[a:b]
+        out += tmp
+        np.negative(out, out=out)
+        d3u3 = derivative(own, 2, h3[2])
+        hi, lo = np.max(d3u3), np.min(d3u3)
+        node = None
+        if max(hi, -lo) > U3_GRADIENT_ABORT:
+            i = np.unravel_index(np.argmax(np.abs(d3u3)), d3u3.shape)
+            node = (a + int(i[0]), int(i[1]), int(i[2]))
+        d3u3 *= own
+        out -= d3u3
+        if free:
+            rho_h, _ = with_halo(rho, a, b)
+            pi = cfg.c ** 2 * np.log(rho_h)
+            pi_own = pi[halo:halo + b - a]
+            gp1[a:b] = derivative(pi, 0, h3[0], halo).mean(axis=2)
+            gp2[a:b] = derivative(pi_own, 1, h3[1]).mean(axis=2)
+            out -= derivative(pi_own, 2, h3[2])
+            flux = derivative(rho_h * with_halo(u1b, a, b)[0], 0, h3[0], halo)
+            flux += derivative(rho[a:b] * u2b[a:b], 1, h3[1])
+            flux += derivative(rho[a:b] * own, 2, h3[2])
+            np.negative(flux, out=drho[a:b])
+        return hi, lo, node
+
+    parts = map_slabs(slab, u3.shape[0], u3[0].size)
+    his, los, _ = zip(*parts)
+    steep = float(max(np.max(his), -np.min(los)))
     if steep > U3_GRADIENT_ABORT:
-        node = np.unravel_index(np.argmax(np.abs(d3u3)), d3u3.shape)
+        # the first slab holding the largest |d3 u3| names its first node
+        node = next(n for hi, lo, n in parts if max(hi, -lo) == steep)
         raise RuntimeError(
             f"vertical self-steepening blew up: |d3 u3| = {steep:.3g} > "
-            f"{U3_GRADIENT_ABORT:g} at t={state.time:.6g}, "
-            f"node {tuple(int(i) for i in node)}")
-    du3_adv -= u3 * d3u3
-    del d3u3
+            f"{U3_GRADIENT_ABORT:g} at t={state.time:.6g}, node {node}")
 
-    if cfg.mode == "kinematic_tg":
-        return None, None, du3_adv, None
-
-    rho = state.rho
-    if np.min(rho) <= 0.0:
+    if kinematic:
+        return None, None, du3, None
+    if not positive:
         raise RuntimeError(f"density non-positive at t={state.time:.6g}")
 
-    pi = cfg.c ** 2 * np.log(rho)
     if cfg.mode == "constrained":
+        pi = cfg.c ** 2 * np.log(rho)
         gp1, gp2 = derivative(pi, 0, h2[0]), derivative(pi, 1, h2[1])
-        du3 = du3_adv
         drho = -(derivative(rho * u1, 0, h2[0])
                  + derivative(rho * u2, 1, h2[1]))
-    else:  # free: 3D density
-        gp1_3d, gp2_3d = derivative(pi, 0, h3[0]), derivative(pi, 1, h3[1])
-        gp1 = gp1_3d.mean(axis=2)
-        gp2 = gp2_3d.mean(axis=2)
-        du3 = du3_adv - derivative(pi, 2, h3[2])
-        drho = -(derivative(rho * u1b, 0, h3[0])
-                 + derivative(rho * u2b, 1, h3[1])
-                 + derivative(rho * u3, 2, h3[2]))
 
     du1 = -(u1 * derivative(u1, 0, h2[0])
             + u2 * derivative(u1, 1, h2[1])) - gp1

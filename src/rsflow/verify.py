@@ -22,8 +22,8 @@ import numpy as np
 
 from . import rsff
 from .exterior import (DiscreteMap, KForm, exterior_derivative,
-                       lie_derivative_cartan, lie_derivative_components,
-                       pullback, wedge)
+                       jacobian_minor, lie_derivative_cartan,
+                       lie_derivative_components, pullback, wedge)
 from .fields import (MIN_DIM, Grid, Interpolator, ScalarField, VectorField,
                      check_finite, derivative, lagrange4_taps,
                      lagrange4_weights, restrict)
@@ -267,14 +267,15 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
     jac[..., 2] = np.moveaxis(jv, 0, -1)
     x, jac = x.reshape(-1, 3), jac.reshape(-1, 3, 3)
     with np.errstate(invalid="ignore"):  # the fold check names a NaN det J
-        det = np.linalg.det(jac)
+        det = jacobian_minor(jac, range(3), range(3))
     if not np.min(det) > 0:
         bad = int(np.argmin(det))
         raise RuntimeError(f"flow map folded: det J = {det[bad]:.3g} "
                            f"at particle {bad}")
     images = VectorField.from_arrays(
         coarse, [x[:, c].reshape(dims) for c in range(3)])
-    dmap = DiscreteMap(coarse, images, jac.reshape(dims + (3, 3)))
+    dmap = DiscreteMap(coarse, images, jac.reshape(dims + (3, 3)),
+                       det.reshape(dims))
     health = {"particles": len(x), "substeps": substeps,
               "det_min": float(np.min(det)), "det_max": float(np.max(det))}
     return FlowMap(t0, t1, dmap, health)

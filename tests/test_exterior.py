@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from rsflow.exterior import (DiscreteMap, KForm, antisym_matrix_rep,
                              exterior_derivative, form_from_velocity,
-                             interior_product, lie_derivative_cartan,
-                             lie_derivative_components, pullback,
-                             velocity_from_form, wedge)
+                             interior_product, jacobian_minor,
+                             lie_derivative_cartan, lie_derivative_components,
+                             pullback, velocity_from_form, wedge)
 from rsflow.fields import (Grid, ScalarField, VectorField, derivative,
                            gradient_tensor)
 from rsflow.rsf import (component_vorticities, decomposition_plan,
@@ -305,6 +305,18 @@ def test_pullback_by_quarter_turn():
     pulled = pullback(DiscreteMap(g, images, jac), omega)
     expect = f.eval(np.stack([pts[..., 1], -pts[..., 0]], axis=-1))
     np.testing.assert_allclose(pulled.coeff((1, 2)).values, expect, atol=1e-12)
+
+
+def test_jacobian_minors_are_determinants():
+    jac = np.random.default_rng(15).normal(size=(5, 7, 3, 3))
+    assert jacobian_minor(jac, [], []) == 1.0
+    for k in (1, 2, 3):
+        for rows in itertools.combinations(range(3), k):
+            for cols in itertools.permutations(range(3), k):
+                np.testing.assert_allclose(
+                    jacobian_minor(jac, rows, cols),
+                    np.linalg.det(jac[..., rows, :][..., cols]),
+                    rtol=1e-12, atol=1e-13)
 
 
 @pytest.mark.parametrize("bad", ["nan", "shape"])

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from rsflow import fields as fields_module
-from rsflow.fields import (Grid, Interpolator, ScalarField, VectorField,
+from rsflow.fields import (HALO, Grid, Interpolator, ScalarField, VectorField,
                            derivative, divergence, gradient_tensor, interpolate,
                            lagrange4_taps, partial_derivative, restrict,
-                           second_derivative, taylor_green_2d)
+                           second_derivative, taylor_green_2d, with_halo)
 from rsflow.trig import TrigPoly
 
 
@@ -118,10 +118,10 @@ def test_stencil_is_bit_identical_to_rolled_formula(stencil, rolled, shape,
 
     check()
     if a.size >= fields_module._SLAB_MIN_SIZE:
-        # the slab path once more, split three ways with uneven slabs,
-        # whatever the CPU count of the test machine
+        # the slab path once more, on three threads whatever the CPU
+        # count of the test machine; the last slab is a short one
         with ThreadPoolExecutor(3) as pool:
-            monkeypatch.setattr(fields_module, "_slab_pool", lambda: (pool, 3))
+            monkeypatch.setattr(fields_module, "_slab_pool", lambda: pool)
             check()
 
 
@@ -147,9 +147,20 @@ def test_slab_stencil_runs_in_a_forked_child():
     assert not alive and child.exitcode == 0
 
 
+@pytest.mark.parametrize("a, b", [(0, 1), (0, 3), (5, 9), (10, 12), (0, 12)])
+def test_derivative_with_halo_is_the_periodic_one_on_its_planes(a, b):
+    v = np.random.default_rng(9).normal(size=(12, 9, 8))
+    planes, halo = with_halo(v, a, b)
+    assert halo == (0 if (a, b) == (0, 12) else HALO)
+    got = derivative(planes, 0, 0.37, halo)
+    assert np.array_equal(got, derivative(v, 0, 0.37)[a:b])
+
+
 def test_stencil_rejects_axis_shorter_than_its_reach():
     with pytest.raises(ValueError, match="at least 4 points along axis 1"):
         derivative(np.zeros((8, 3)), 1, 0.1)
+    with pytest.raises(ValueError, match="halo 1 is shorter"):
+        derivative(np.zeros((10, 8)), 0, 0.1, halo=1)
 
 
 def test_divergence_equals_gradient_trace():

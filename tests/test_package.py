@@ -37,6 +37,19 @@ def test_imports_are_at_module_level():
     assert not offenders, offenders
 
 
+def test_only_fields_makes_a_thread_pool():
+    # every slab of every stencil and of rhs runs on fields' one pool
+    makers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "ThreadPoolExecutor":
+                    makers.append(path.name)
+    assert makers == ["fields.py"], makers
+
+
 def test_import_starts_no_thread():
     # the stencil's thread pool is made on first use, not at import
     code = ("import threading, rsflow, rsflow.cli\n"

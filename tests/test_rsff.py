@@ -83,6 +83,19 @@ def test_non_finite_value_is_named_by_file_component_and_node(tmp_path):
     assert str(exc.value) == f"{path}: u2 = nan at node (1, 2, 3)"
 
 
+def test_read_scans_the_values_once(tmp_path, monkeypatch):
+    # the named scan replaces the ScalarField constructor's own
+    g = Grid.cube(3, 8)
+    u = VectorField(g, tuple(_random_field(g, s) for s in range(3)))
+    path = tmp_path / "u.rsff"
+    rsff.write_field(path, u)
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: calls.append(a.shape) or isfinite(a))
+    rsff.read_field(path)
+    assert calls == [g.dims] * 3
+
+
 def test_bad_box_length_names_the_file(tmp_path):
     path = _corrupted(tmp_path, 28 + 8, np.inf)
     with pytest.raises(ValueError, match="box lengths must be positive") as exc:

@@ -1,12 +1,16 @@
 """Solver: configuration, modes, conservation, determinism, failure modes."""
 
 import math
+import multiprocessing
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rsflow.fields import derivative
+from rsflow import fields as fields_module
+from rsflow.fields import derivative, second_derivative
 from rsflow.solver import (SolverConfig, cfl_dt, diagnostics, format_config,
                            init_state, parse_config, rhs, rk4, run_simulation,
                            step_rk4)
@@ -179,6 +183,143 @@ def test_self_steepening_abort():
     node = np.unravel_index(np.argmax(d3u3), d3u3.shape)
     assert (f"|d3 u3| = {np.max(d3u3):.3g} > 20 at t=0, "
             f"node {tuple(int(i) for i in node)}") in str(info.value)
+
+
+# ----------------------------------------------------------------------
+# the slab-by-slab right-hand side
+# ----------------------------------------------------------------------
+
+# at least _SLAB_MIN_SIZE points, so rhs works in slabs on the pool, and
+# x1 not a multiple of the slab height (10 planes of 96 x 64)
+POOL_DIMS = (99, 96, 64)
+
+
+def _unfused_rhs(state, cfg):
+    """The right-hand side as whole-grid passes, in rhs's operation order
+    (the steepness and density checks left out)."""
+    h2, h3 = state.grid2.spacing, state.grid3.spacing
+    u1, u2, u3, rho = state.u1, state.u2, state.u3, state.rho
+    u1b, u2b = u1[:, :, None], u2[:, :, None]
+    du3 = -(u1b * derivative(u3, 0, h3[0]) + u2b * derivative(u3, 1, h3[1]))
+    du3 -= u3 * derivative(u3, 2, h3[2])
+    if cfg.mode == "kinematic_tg":
+        return None, None, du3, None
+    pi = cfg.c ** 2 * np.log(rho)
+    if cfg.mode == "constrained":
+        gp1, gp2 = derivative(pi, 0, h2[0]), derivative(pi, 1, h2[1])
+        drho = -(derivative(rho * u1, 0, h2[0])
+                 + derivative(rho * u2, 1, h2[1]))
+    else:
+        gp1 = derivative(pi, 0, h3[0]).mean(axis=2)
+        gp2 = derivative(pi, 1, h3[1]).mean(axis=2)
+        du3 = du3 - derivative(pi, 2, h3[2])
+        drho = -(derivative(rho * u1b, 0, h3[0])
+                 + derivative(rho * u2b, 1, h3[1])
+                 + derivative(rho * u3, 2, h3[2]))
+    du1 = -(u1 * derivative(u1, 0, h2[0]) + u2 * derivative(u1, 1, h2[1])) - gp1
+    du2 = -(u1 * derivative(u2, 0, h2[0]) + u2 * derivative(u2, 1, h2[1])) - gp2
+    if cfg.nu > 0:
+        lap = [sum(second_derivative(v, a, h[a]) for a in range(v.ndim))
+               for v, h in ((u1, h2), (u2, h2), (u3, h3))]
+        du1 += cfg.nu * lap[0]
+        du2 += cfg.nu * lap[1]
+        du3 += cfg.nu * lap[2]
+    return du1, du2, du3, drho
+
+
+def _same(a, b):
+    return all(x is None and y is None or np.array_equal(x, y)
+               for x, y in zip(a, b))
+
+
+@pytest.fixture
+def three_slab_threads(monkeypatch):
+    # the pool path with three threads, whatever the CPU count
+    with ThreadPoolExecutor(3) as pool:
+        monkeypatch.setattr(fields_module, "_slab_pool", lambda: pool)
+        yield
+
+
+def test_pool_grid_is_cut_into_uneven_slabs():
+    plane = POOL_DIMS[1] * POOL_DIMS[2]
+    assert math.prod(POOL_DIMS) >= fields_module._SLAB_MIN_SIZE
+    assert POOL_DIMS[0] % (fields_module._SLAB_SIZE // plane) != 0
+
+
+@pytest.mark.parametrize("mode", ["constrained", "free", "kinematic_tg"])
+@pytest.mark.parametrize("dims, nu", [((16, 16, 16), 0.0),
+                                      ((16, 16, 16), 0.02),
+                                      (POOL_DIMS, 0.0), (POOL_DIMS, 0.02)])
+def test_rhs_is_bit_identical_to_whole_grid_passes(mode, dims, nu,
+                                                   three_slab_threads):
+    cfg = SolverConfig(mode=mode, dims=dims, nu=nu, seed=3)
+    state = init_state(cfg)
+    assert _same(rhs(state, cfg), _unfused_rhs(state, cfg))
+
+
+def _steep_state(mode, amplitudes):
+    # u3 = A sin x3 on x1-planes 20 and 80 only, which lie in different
+    # slabs; d3 u3 there is about A, and 0 elsewhere
+    cfg = SolverConfig(mode=mode, dims=POOL_DIMS)
+    state = init_state(cfg)
+    x3 = state.grid3.axis_coords(2)
+    u3 = np.zeros(state.grid3.dims)
+    for plane, amp in zip((20, 80), amplitudes):
+        u3[plane] = amp * np.sin(x3)
+    return cfg, replace(state, u3=u3)
+
+
+@pytest.mark.parametrize("amplitudes", [(30.0, 40.0), (40.0, 40.0)])
+def test_steepness_abort_names_the_whole_grid_value_and_node(
+        amplitudes, three_slab_threads):
+    # (30, 40): both slabs are past the abort value, the later one is the
+    # steepest; (40, 40): a tie goes to the first node in C order
+    cfg, state = _steep_state("constrained", amplitudes)
+    d3u3 = np.abs(derivative(state.u3, 2, state.grid3.spacing[2]))
+    node = np.unravel_index(np.argmax(d3u3), d3u3.shape)
+    assert node[0] == (80 if amplitudes[0] < amplitudes[1] else 20)
+    with pytest.raises(RuntimeError, match="self-steepening") as info:
+        rhs(state, cfg)
+    assert (f"|d3 u3| = {np.max(d3u3):.3g} > 20 at t=0, "
+            f"node {tuple(int(i) for i in node)}") in str(info.value)
+
+
+@pytest.mark.parametrize("steep", [True, False])
+def test_steepness_is_reported_before_a_non_positive_density(
+        steep, three_slab_threads):
+    cfg, state = _steep_state("free", (40.0 if steep else 0.0, 0.0))
+    rho = state.rho.copy()
+    rho[50, 3, 7] = -0.5
+    with pytest.raises(RuntimeError, match="self-steepening" if steep
+                       else r"density non-positive at t=0"):
+        rhs(replace(state, rho=rho), cfg)
+
+
+def _rhs_in_child(state, cfg, expected, nested):
+    if nested:
+        # every stencil inside a slab job would be cut into slabs again;
+        # a pool thread runs them itself instead of waiting on the pool
+        fields_module._SLAB_MIN_SIZE = fields_module._SLAB_SIZE = 1
+    sys.exit(0 if _same(rhs(state, cfg), expected) else 1)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+@pytest.mark.parametrize("nested", [False, True])
+def test_rhs_runs_on_the_pool_in_a_forked_child(nested):
+    # the parent's pool exists before the fork; the child makes its own
+    cfg = SolverConfig(mode="free", dims=POOL_DIMS, seed=4)
+    state = init_state(cfg)
+    expected = rhs(state, cfg)
+    child = multiprocessing.get_context("fork").Process(
+        target=_rhs_in_child, args=(state, cfg, expected, nested))
+    child.start()
+    child.join(timeout=60)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join()
+    assert not alive and child.exitcode == 0
 
 
 def test_viscous_term_damps_a_single_mode():

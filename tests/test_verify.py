@@ -118,7 +118,7 @@ def test_flowmap_volume_preserved_by_divergence_free_flow():
                        amplitude=0.1, kmax=1, snapshot_stride=1)
     h = VelocityHistory.from_result(run_simulation(cfg))
     fmap = advect_flowmap(h, 0.0, 0.5, substeps=2 * (len(h.times) - 1))
-    det = fmap.map.jacobian_det()
+    det = fmap.map.det
     # horizontal TG is divergence-free but u3 self-advection is not
     assert np.max(np.abs(det - 1.0)) < 0.2
     assert np.min(det) > 0.5
@@ -339,7 +339,7 @@ def test_frozen_in_errors_reports_flowmap_health(short_kinematic_history):
     health = frozen_in_errors(h, h)["flowmap"]
     assert health["particles"] == h.grid.npoints
     assert health["substeps"] == 2 * (len(h.times) - 1)
-    det = advect_flowmap(h, h.t0, h.t1, health["substeps"]).map.jacobian_det()
+    det = advect_flowmap(h, h.t0, h.t1, health["substeps"]).map.det
     assert health["det_min"] == np.min(det) > 0
     assert health["det_max"] == np.max(det)
 
