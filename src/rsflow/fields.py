@@ -234,7 +234,7 @@ def _slab_pool():
         ncpu = os.cpu_count() or 1
     if ncpu < 2:
         return None
-    return ThreadPoolExecutor(ncpu, thread_name_prefix="rsflow-stencil")
+    return ThreadPoolExecutor(ncpu, thread_name_prefix="rsflow-slab")
 
 
 if hasattr(os, "register_at_fork"):
@@ -412,7 +412,7 @@ def lagrange4_weights(t):
     )
 
 
-def lagrange4_taps(x, h: float, n: int, axis: int = 0) -> tuple:
+def lagrange4_taps(x, h: float, n: int, axis: int = 0, first: int = 0) -> tuple:
     """The 4 periodic taps of cubic Lagrange interpolation along one axis
     of ``n`` nodes spaced ``h``: node indices (mod ``n``) and weights, 4
     arrays each, shaped like the coordinates ``x``.
@@ -420,15 +420,17 @@ def lagrange4_taps(x, h: float, n: int, axis: int = 0) -> tuple:
     A coordinate within 1e-9 cells of a node snaps onto it, so its weights
     are exactly (0, 1, 0, 0).  A coordinate that is not finite or lies
     2**62 or more cells from 0, where the int64 cell index would overflow,
-    is a ``ValueError`` naming its flat index and ``axis``.
+    is a ``ValueError`` naming ``axis`` and its flat index, counted from
+    ``first`` (the index of ``x``'s first point in a larger set).
     """
     x = np.asarray(x, dtype=float)
     s = x / h
     bad = ~(np.abs(s) < 2.0 ** 62)
     if bad.any():
         p = int(np.argmax(bad))
-        raise ValueError(f"point {p} has coordinate {x.flat[p]} on axis "
-                         f"{axis}: not finite or 2**62 or more cells from 0")
+        raise ValueError(f"point {first + p} has coordinate {x.flat[p]} on "
+                         f"axis {axis}: not finite or 2**62 or more cells "
+                         f"from 0")
     snapped = np.rint(s)
     s = np.where(np.abs(s - snapped) < 1e-9, snapped, s)
     i0 = np.floor(s).astype(np.int64)
@@ -475,17 +477,34 @@ class Interpolator:
                              f"grid dims {self.grid.dims} + {line_axes} line axes")
         extra, line = values.shape[:end - d], values.shape[end:]
         rows = values.reshape(-1, self.grid.npoints, math.prod(line))
-        out = np.zeros((rows.shape[0], self._idx[0][0].size, rows.shape[2]))
-        for offs in itertools.product(range(4), repeat=d):
-            w = self._w[0][offs[0]]
-            flat = self._idx[0][offs[0]]
-            for a in range(1, d):
-                w = w * self._w[a][offs[a]]
-                flat = flat + self._idx[a][offs[a]]
-            tap = rows.take(flat, axis=1)
+        out = np.empty((rows.shape[0], self._idx[0][0].size, rows.shape[2]))
+        self.gather(rows, out, np.empty(out.shape))
+        return out.reshape(extra + self.shape + line)
+
+    def gather(self, rows, out, tap, start: int = 0) -> None:
+        """The one gather kernel, which :meth:`__call__` runs over every
+        point: ``out`` gets the interpolation of ``rows`` at the points
+        ``start`` to ``start + out.shape[1] - 1``.
+
+        ``rows`` has shape ``(m, grid.npoints, L)``; ``out`` and ``tap``,
+        the scratch each tap is gathered into, have shape ``(m, count,
+        L)``, and ``tap`` is C-contiguous.  A range of points gets the bits
+        that a call over all of them gives it, so disjoint ranges can run
+        in parallel into slices of one output.
+        """
+        stop = start + out.shape[1]
+        out.fill(0.0)
+        for offs in itertools.product(range(4), repeat=self.grid.d):
+            w = self._w[0][offs[0]][start:stop]
+            flat = self._idx[0][offs[0]][start:stop]
+            for a in range(1, self.grid.d):
+                w = w * self._w[a][offs[a]][start:stop]
+                flat = flat + self._idx[a][offs[a]][start:stop]
+            # every index is in range: "clip" changes none, and unlike
+            # "raise" it writes into tap without a buffered copy
+            rows.take(flat, axis=1, out=tap, mode="clip")
             tap *= w[:, None]
             out += tap
-        return out.reshape(extra + self.shape + line)
 
 
 def interpolate(f: ScalarField, point) -> float | np.ndarray:

@@ -26,7 +26,7 @@ from .exterior import (DiscreteMap, KForm, exterior_derivative,
                        lie_derivative_components, pullback, wedge)
 from .fields import (MIN_DIM, Grid, Interpolator, ScalarField, VectorField,
                      check_finite, derivative, lagrange4_taps,
-                     lagrange4_weights, restrict)
+                     lagrange4_weights, map_slabs, restrict, with_halo)
 from .rsf import component_vorticities, decomposition_plan
 from .solver import SimulationResult, SolverConfig, rk4, run_simulation
 from .trig import TrigPoly
@@ -158,17 +158,30 @@ class VelocityHistory:
                 self._stack((2,), self.grid.dims, j, w))
 
     def _stack(self, comps, dims, j, w) -> np.ndarray:
+        """Rows ``comps`` of the time combination and then their
+        gradients, one x1-slab at a time (:func:`map_slabs`): each slab
+        combines its planes and their :func:`with_halo` planes, so its
+        derivatives read values still in cache.  Every value is the one a
+        whole-grid pass gives, bit for bit."""
         n, nd = len(comps), len(dims)
         out = np.empty((n * (1 + nd),) + dims)
         grads = out[n:].reshape((nd, n) + dims)
         h = self.grid.spacing
-        for i, c in enumerate(comps):
-            acc = w[0] * self.snapshots[j][c]
-            for m in range(1, 4):
-                acc = acc + w[m] * self.snapshots[j + m][c]
-            out[i] = acc
-            for k in range(nd):
-                grads[k, i] = derivative(acc, k, h[k])
+        snaps = self.snapshots[j:j + 4]
+
+        def slab(a, b):
+            for i, c in enumerate(comps):
+                planes, halo = with_halo(snaps[0][c], a, b)
+                acc = w[0] * planes
+                for m in range(1, 4):
+                    acc = acc + w[m] * with_halo(snaps[m][c], a, b)[0]
+                own = acc[halo:halo + b - a]
+                out[i, a:b] = own
+                grads[0, i, a:b] = derivative(acc, 0, h[0], halo)
+                for k in range(1, nd):
+                    grads[k, i, a:b] = derivative(own, k, h[k])
+
+        map_slabs(slab, dims[0], math.prod(dims[1:]))
         return out
 
 
@@ -196,13 +209,17 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
     Every particle of a column shares (x1, x2): the horizontal path x_h
     and the block J[:2, :2] advance once per column.  One
     :class:`Interpolator` on the (x1, x2) plane per RK stage gathers u1,
-    u2 and their gradients at the columns with 16 taps, and with the
-    same 16 taps whole x3-lines of u3 and its gradient (trailing line
-    axes); 4 taps per particle along x3 then give x3's velocity and the
-    slope of the column J[:, 2]:
+    u2 and their gradients at the columns with 16 taps.  The columns are
+    then cut into chunks of about 512 KB of x3-lines, run as jobs by
+    :func:`map_slabs` (on the shared pool for a large map).  A chunk's
+    job gathers its columns' whole x3-lines of u3 and its gradient with
+    the same 16 taps (:meth:`Interpolator.gather`) and, while the lines
+    are in cache, takes 4 taps per particle along x3.  These give x3's
+    velocity and the slope of the column J[:, 2]:
     d J[:2, 2]/dt = J[:2, :2] . grad_h u3 + J[:2, 2] du3/dx3 and
-    d J[2, 2]/dt = J[2, 2] du3/dx3.  J[2, :2] is zero because it is never
-    computed; the full x and J are assembled once, at t1.
+    d J[2, 2]/dt = J[2, 2] du3/dx3.  Each value is the one a pass over
+    all columns at once gives, bit for bit.  J[2, :2] is zero because it
+    is never computed; the full x and J are assembled once, at t1.
     """
     if not (history.t0 - 1e-12 <= t0 <= t1 <= history.t1 + 1e-12):
         raise ValueError("requested interval outside history span")
@@ -222,7 +239,6 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
     n2, h2 = fine.dims[2], fine.spacing[2]
     pts = coarse.points().reshape(-1, dims[2], 3)  # column, layer, axis
     ncol = len(pts)
-    line_start = np.arange(ncol)[:, None] * n2  # of each x3-line, flattened
     # state, component axes first: x_h (2, col), J[:2, :2] (2, 2, col),
     # x3 (col, layer), J[:, 2] (3, col, layer)
     y = [pts[:, 0, :2].T, np.broadcast_to(np.eye(2)[..., None], (2, 2, ncol)),
@@ -230,6 +246,13 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
                                       (3,) + pts.shape[:2])]
 
     memo = {}  # the velocity stacks at the last stage time only
+    # the gathered (u3, grad u3) x3-lines, a scratch array for their taps
+    # and the vertical taps' result, made here once: a chunk's job works
+    # in its slices of them and allocates nothing large itself
+    nrow = 4  # rows of the full stack: u3 and du3/dx_k
+    lines = np.empty(nrow * ncol * n2)
+    scratch = np.empty(nrow * ncol * n2)
+    v = np.empty((nrow, ncol, dims[2]))
 
     def deriv(t, state):
         if t not in memo:
@@ -239,13 +262,34 @@ def advect_flowmap(history: VelocityHistory, t0: float, t1: float,
         xh, jh, x3, jv = state
         itp = Interpolator(plane, xh.T)
         vh = itp(cols)
-        lines = itp(full, line_axes=1).reshape(len(full), -1)
-        idx, w = lagrange4_taps(x3, h2, n2, axis=2)
-        v = sum(lines.take(line_start + i, axis=1) * wi for i, wi in zip(idx, w))
+        rows = full.reshape(nrow, -1, n2)
+        djv = np.empty(jv.shape)
+
+        def chunk(a, b):
+            """Columns a..b-1: their x3-lines, then 4 taps per particle
+            along x3 while the lines are in cache, then their slope of
+            J[:, 2]."""
+            part = slice(nrow * a * n2, nrow * b * n2)
+            own = lines[part].reshape(nrow, b - a, n2)
+            itp.gather(rows, own, scratch[part].reshape(own.shape), a)
+            idx, w = lagrange4_taps(x3[a:b], h2, n2, axis=2,
+                                    first=a * dims[2])
+            own = own.reshape(nrow, -1)
+            start = np.arange(b - a)[:, None] * n2  # of each line in own
+            vc = v[:, a:b]
+            tap = scratch[part][:vc.size].reshape(vc.shape)
+            vc.fill(0.0)
+            for i, wi in zip(idx, w):
+                own.take(start + i, axis=1, out=tap, mode="clip")
+                tap *= wi
+                vc += tap
+            g = vc[1:]  # du3/dx_k
+            out = djv[:, a:b]
+            np.multiply(jv[:, a:b], g[2], out=out)
+            out[:2] += jh[:, 0, a:b, None] * g[0] + jh[:, 1, a:b, None] * g[1]
+
+        map_slabs(chunk, ncol, nrow * n2)
         gh = vh[2:].reshape(2, 2, ncol)  # [k, c] = du_c/dx_k
-        g = v[1:]  # du3/dx_k
-        djv = jv * g[2]
-        djv[:2] += jh[:, 0, :, None] * g[0] + jh[:, 1, :, None] * g[1]
         # copy the velocity rows: a view would keep the gradient rows alive
         return [vh[:2].copy(), jh[:, :1] * gh[0] + jh[:, 1:] * gh[1],
                 v[0].copy(), djv]

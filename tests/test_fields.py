@@ -266,6 +266,20 @@ def test_interpolator_line_axes_carry_whole_lines():
         itp(stack, line_axes=1)
 
 
+def test_gather_over_ranges_of_points_is_the_whole_call():
+    g = Grid((8, 10))
+    rng = np.random.default_rng(10)
+    stack = rng.standard_normal((3,) + g.dims + (4,))
+    itp = Interpolator(g, rng.uniform(-1.0, 7.0, size=(11, 2)))
+    want = itp(stack, line_axes=1)
+    rows = stack.reshape(3, g.npoints, 4)
+    got = np.full(want.shape, np.nan)
+    for a, b in ((0, 4), (4, 9), (9, 11)):  # each range into its slice
+        tap = np.empty((3, b - a, 4))
+        itp.gather(rows, got[:, a:b], tap, a)
+    assert np.array_equal(got, want)
+
+
 def test_interpolator_rejects_values_on_another_grid():
     itp = Interpolator(Grid.cube(3, 8), np.zeros((4, 3)))
     with pytest.raises(ValueError, match="grid dims"):

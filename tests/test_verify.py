@@ -1,14 +1,18 @@
 """Verification harness: flow maps, pullback errors, residuals, order fits."""
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from rsflow.exterior import wedge
-from rsflow.fields import Grid, Interpolator, VectorField, derivative
+from rsflow import fields as fields_module
+from rsflow.exterior import jacobian_minor, wedge
+from rsflow.fields import (Grid, Interpolator, VectorField, derivative,
+                           lagrange4_taps, lagrange4_weights)
 from rsflow.rsf import component_vorticities, decomposition_plan
-from rsflow.solver import SolverConfig, run_simulation
+from rsflow.solver import SolverConfig, rk4, run_simulation
 from rsflow.trig import TrigPoly
 from rsflow.verify import (VelocityHistory, advect_flowmap, fit_order,
                            frozen_in_errors, identity_suite, lemma1_check,
@@ -205,6 +209,148 @@ def test_strided_flowmap_on_a_non_cubic_grid_is_the_unstrided_one_subsampled():
     assert np.max(np.abs(full.jacobian[..., 0:2, 2])) > 1e-3  # J[:2, 2] moved
 
 
+# ----------------------------------------------------------------------
+# flow maps in column chunks on the pool
+# ----------------------------------------------------------------------
+
+# 2240 columns of 16-node x3-lines: the stage's chunks of 1024 columns
+# (4 rows x 16 nodes each) are 1024, 1024 and a short 192
+CHUNK_DIMS = (40, 56, 16)
+
+
+@pytest.fixture
+def three_slab_threads(monkeypatch):
+    # the pool path with three threads, whatever the CPU count
+    with ThreadPoolExecutor(3) as pool:
+        monkeypatch.setattr(fields_module, "_slab_pool", lambda: pool)
+        yield
+
+
+def _smooth_history(dims, times, seed=0):
+    """An unsteady RSF history of a few smooth modes with random phases
+    (no solver run): u1, u2 on the plane, u3 on all three axes."""
+    g = Grid(dims)
+    x1, x2, x3 = np.meshgrid(*[g.axis_coords(a) for a in range(3)],
+                             indexing="ij")
+    p = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=4)
+    return VelocityHistory(g, times, [
+        [0.3 * np.sin(x2[..., 0] + p[0] + t), 0.3 * np.cos(x1[..., 0] + p[1] - t),
+         0.2 * np.sin(x1 + p[2] + t) * np.cos(x2 + 2 * x3 + p[3])]
+        for t in times])
+
+
+def _whole_plane_flowmap(h, t0, t1, substeps):
+    """The block flow map with each stage's deriv over the whole plane
+    at once: one line gather of every column, then the vertical taps of
+    every particle.  Returns images, J and det J."""
+    plane = Grid(h.grid.dims[:2], h.grid.length[:2])
+    n2, h2 = h.grid.dims[2], h.grid.spacing[2]
+    pts = h.grid.points().reshape(-1, n2, 3)
+    ncol = len(pts)
+    line_start = np.arange(ncol)[:, None] * n2
+    y = [pts[:, 0, :2].T, np.broadcast_to(np.eye(2)[..., None], (2, 2, ncol)),
+         pts[..., 2], np.broadcast_to(np.eye(3)[:, 2, None, None],
+                                      (3,) + pts.shape[:2])]
+
+    def deriv(t, state):
+        cols, full = h.velocity_at(t)
+        xh, jh, x3, jv = state
+        itp = Interpolator(plane, xh.T)
+        vh = itp(cols)
+        lines = itp(full, line_axes=1).reshape(len(full), -1)
+        idx, w = lagrange4_taps(x3, h2, n2, axis=2)
+        v = sum(lines.take(line_start + i, axis=1) * wi for i, wi in zip(idx, w))
+        gh = vh[2:].reshape(2, 2, ncol)
+        g = v[1:]
+        djv = jv * g[2]
+        djv[:2] += jh[:, 0, :, None] * g[0] + jh[:, 1, :, None] * g[1]
+        return [vh[:2].copy(), jh[:, :1] * gh[0] + jh[:, 1:] * gh[1],
+                v[0].copy(), djv]
+
+    dt, t = (t1 - t0) / substeps, t0
+    for _ in range(substeps):
+        y = rk4(deriv, y, t, dt)
+        t += dt
+    xh, jh, x3, jv = y
+    x = np.empty(pts.shape)
+    x[..., :2] = xh.T[:, None]
+    x[..., 2] = x3
+    jac = np.zeros(pts.shape + (3,))
+    jac[..., :2, :2] = np.moveaxis(jh, -1, 0)[:, None]
+    jac[..., 2] = np.moveaxis(jv, 0, -1)
+    jac = jac.reshape(h.grid.dims + (3, 3))
+    return (x.reshape(h.grid.dims + (3,)), jac,
+            jacobian_minor(jac, range(3), range(3)))
+
+
+def test_chunk_grid_is_cut_into_three_uneven_chunks():
+    ncol, plane = CHUNK_DIMS[0] * CHUNK_DIMS[1], 4 * CHUNK_DIMS[2]
+    height = fields_module._SLAB_SIZE // plane
+    assert ncol * plane >= fields_module._SLAB_MIN_SIZE
+    assert -(-ncol // height) >= 3 and ncol % height != 0
+
+
+def test_chunked_flowmap_is_bit_identical_to_whole_plane_stages(
+        three_slab_threads):
+    h = _smooth_history(CHUNK_DIMS, [0.0, 0.1, 0.2, 0.3, 0.4])
+    fmap = advect_flowmap(h, 0.0, 0.4, substeps=3)
+    x, jac, det = _whole_plane_flowmap(h, 0.0, 0.4, 3)
+    images = np.stack([c.values for c in fmap.map.images.components], -1)
+    assert np.array_equal(images, x)
+    assert np.array_equal(fmap.map.jacobian, jac)
+    assert np.array_equal(fmap.map.det, det)
+    assert np.max(np.abs(jac[..., :2, 2])) > 1e-3  # J[:2, 2] moved
+
+
+def test_chunked_flowmap_names_the_global_particle_of_a_bad_x3(
+        three_slab_threads):
+    # a NaN u3 at node (38, 40, 5) spreads to columns 2054 and on, all in
+    # the last chunk; their x3 turn NaN at the second stage, and the
+    # vertical taps of that chunk name the particle as the whole plane does
+    h = _smooth_history(CHUNK_DIMS, [0.0, 0.1, 0.2, 0.3])
+    evaluate = h.velocity_at
+
+    def poisoned(t):
+        cols, full = evaluate(t)
+        full = full.copy()
+        full[0, 38, 40, 5] = np.nan
+        return cols, full
+
+    h.velocity_at = poisoned
+    with pytest.raises(ValueError, match=r"on axis 2: not finite") as whole:
+        _whole_plane_flowmap(h, 0.0, 0.3, 1)
+    with pytest.raises(ValueError, match=r"on axis 2: not finite") as chunked:
+        advect_flowmap(h, 0.0, 0.3, substeps=1)
+    assert str(chunked.value) == str(whole.value)
+    particle = int(str(chunked.value).split()[1])
+    assert particle >= 2048 * CHUNK_DIMS[2]  # past the first two chunks
+
+
+def test_chunked_flowmap_calls_traced_layers_on_the_calling_thread(
+        three_slab_threads, monkeypatch):
+    # the benchmark's tracer keeps one span stack for all threads, so the
+    # functions it wraps must not run in a pool job
+    seen = {}
+
+    def record(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            seen.setdefault(name, set()).add(threading.current_thread())
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("__init__", "__call__", "gather"):
+        record(Interpolator, name)
+    record(VelocityHistory, "velocity_at")
+    h = _smooth_history(CHUNK_DIMS, [0.0, 0.1, 0.2, 0.3])
+    advect_flowmap(h, 0.0, 0.3, substeps=1)
+    me = threading.current_thread()
+    for name in ("__init__", "__call__", "velocity_at"):
+        assert seen[name] == {me}, name
+    assert seen["gather"] - {me}  # the chunks ran on the pool
+
+
 def test_flowmap_from_rsff_matches_from_result(tmp_path):
     cfg = SolverConfig(mode="constrained", dims=(16, 16, 16), t_end=0.4,
                        amplitude=0.1, kmax=1, snapshot_stride=1)
@@ -332,6 +478,31 @@ def test_velocity_at_stacks_velocity_and_gradient(short_kinematic_history):
                                   derivative(cols[c], k, spacing[k]))
     for k in range(3):
         assert np.array_equal(full[1 + k], derivative(full[0], k, spacing[k]))
+
+
+def test_velocity_at_stacks_in_slabs_bit_for_bit(three_slab_threads):
+    # random periodic snapshots on a grid that the u3 stack cuts into
+    # x1-slabs of 32, 32 and 8 planes, the two ends with wrapped halos
+    g = Grid((72, 64, 32))
+    rng = np.random.default_rng(5)
+    times = [0.1 * m for m in range(6)]
+    h = VelocityHistory(g, times, [
+        [rng.standard_normal(g.dims[:2]), rng.standard_normal(g.dims[:2]),
+         rng.standard_normal(g.dims)] for _ in times])
+    t = 0.23  # between times[2] and times[3]: snapshots 1..4
+    cols, full = h.velocity_at(t)
+    w = lagrange4_weights((t - times[2]) / h.dt)
+    for c, got in ((0, cols[0]), (1, cols[1]), (2, full[0])):
+        acc = w[0] * h.snapshots[1][c]
+        for m in range(1, 4):
+            acc = acc + w[m] * h.snapshots[1 + m][c]
+        assert np.array_equal(got, acc)
+    for k in range(3):
+        assert np.array_equal(full[1 + k], derivative(full[0], k, g.spacing[k]))
+    for k in range(2):
+        for c in range(2):
+            assert np.array_equal(cols[2 + 2 * k + c],
+                                  derivative(cols[c], k, g.spacing[k]))
 
 
 def test_frozen_in_errors_reports_flowmap_health(short_kinematic_history):
