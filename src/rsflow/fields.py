@@ -286,7 +286,10 @@ def _pair(op, values, axis: int, k: int, out, other=None) -> None:
     carries ``p`` halo planes at each end, as many as it has more than
     ``out``.  With a halo (``p >= k``) no index wraps; without one
     (``p = 0``) the indices are periodic: the interior and the two wrapped
-    edges, three slices each."""
+    edges, three slices each.  Along the last axis of C-contiguous arrays
+    the interior is one contiguous pass over all lines at once, which
+    also writes the ``k`` edge nodes at each end of a line from the
+    neighbouring line; the two edge passes then rewrite them."""
     n = out.shape[axis]
     p = (values.shape[axis] - n) // 2
 
@@ -298,8 +301,14 @@ def _pair(op, values, axis: int, k: int, out, other=None) -> None:
     elif p:
         op(values[sl(p + k, p + k + n)], values[sl(p - k, p - k + n)], out=out)
     else:
-        op(values[sl(2 * k, n)], values[sl(0, n - 2 * k)],
-           out=out[sl(k, n - k)])
+        if (axis == values.ndim - 1 and values.flags.c_contiguous
+                and out.flags.c_contiguous):
+            flat = values.reshape(-1)
+            op(flat[2 * k:], flat[:flat.size - 2 * k],
+               out=out.reshape(-1)[k:out.size - k])
+        else:
+            op(values[sl(2 * k, n)], values[sl(0, n - 2 * k)],
+               out=out[sl(k, n - k)])
         op(values[sl(k, 2 * k)], values[sl(n - k, n)], out=out[sl(0, k)])
         op(values[sl(0, k)], values[sl(n - 2 * k, n - k)],
            out=out[sl(n - k, n)])
@@ -366,10 +375,11 @@ def derivative(values, axis: int, h: float, halo: int = 0) -> np.ndarray:
     return _stencil(_first, values, axis, 12.0 * h, halo)
 
 
-def second_derivative(values, axis: int, h: float) -> np.ndarray:
+def second_derivative(values, axis: int, h: float, halo: int = 0) -> np.ndarray:
     """4th-order centered periodic second derivative of an array along ``axis``:
-    ``(16 (f[i+1] + f[i-1]) - (f[i+2] + f[i-2]) - 30 f[i]) / 12h^2``."""
-    return _stencil(_second, values, axis, 12.0 * h * h)
+    ``(16 (f[i+1] + f[i-1]) - (f[i+2] + f[i-2]) - 30 f[i]) / 12h^2``,
+    with ``halo`` as in :func:`derivative`."""
+    return _stencil(_second, values, axis, 12.0 * h * h, halo)
 
 
 def partial_derivative(f: ScalarField, axis: int) -> ScalarField:

@@ -133,10 +133,15 @@ class FlowState:
     time: float = 0.0
 
 
-def _laplacian(v, spacing, axes):
-    out = np.zeros_like(v)
-    for a in axes:
-        out += second_derivative(v, a, spacing[a])
+def _laplacian(v, spacing, halo: int = 0):
+    """Sum of the second derivatives of ``v`` along every axis, added up
+    from 0; ``v`` carries ``halo`` planes at each end of axis 0 (as
+    :func:`with_halo` gives them)."""
+    own = v[halo:v.shape[0] - halo]
+    out = np.zeros(own.shape)
+    out += second_derivative(v, 0, spacing[0], halo)
+    for a in range(1, v.ndim):
+        out += second_derivative(own, a, spacing[a])
     return out
 
 
@@ -199,6 +204,7 @@ def rhs(state: FlowState, cfg: SolverConfig):
     # after them: a too steep u3 is reported first
     positive = kinematic or not np.min(rho) <= 0.0
     free = cfg.mode == "free" and positive
+    viscous = cfg.nu > 0 and not kinematic
     du3 = np.empty(u3.shape)
     if free:
         drho = np.empty(u3.shape)
@@ -236,6 +242,10 @@ def rhs(state: FlowState, cfg: SolverConfig):
             flux += derivative(rho[a:b] * u2b[a:b], 1, h3[1])
             flux += derivative(rho[a:b] * own, 2, h3[2])
             np.negative(flux, out=drho[a:b])
+        if viscous:
+            lap = _laplacian(u3_h, h3, halo)
+            lap *= cfg.nu
+            out += lap
         return hi, lo, node
 
     parts = map_slabs(slab, u3.shape[0], u3[0].size)
@@ -263,10 +273,9 @@ def rhs(state: FlowState, cfg: SolverConfig):
             + u2 * derivative(u1, 1, h2[1])) - gp1
     du2 = -(u1 * derivative(u2, 0, h2[0])
             + u2 * derivative(u2, 1, h2[1])) - gp2
-    if cfg.nu > 0:
-        du1 += cfg.nu * _laplacian(u1, h2, (0, 1))
-        du2 += cfg.nu * _laplacian(u2, h2, (0, 1))
-        du3 += cfg.nu * _laplacian(u3, h3, (0, 1, 2))
+    if viscous:
+        du1 += cfg.nu * _laplacian(u1, h2)
+        du2 += cfg.nu * _laplacian(u2, h2)
     return du1, du2, du3, drho
 
 
@@ -274,12 +283,20 @@ def pressure_consistency_residual(state: FlowState, cfg: SolverConfig) -> float:
     """Free mode: sup deviation of grad_h Pi from its vertical average."""
     if cfg.mode != "free":
         return 0.0
-    pi = cfg.c ** 2 * np.log(state.rho)
+    rho = state.rho
     h3 = state.grid3.spacing
+
+    def slab(a, b):
+        """Max |dk Pi - its vertical mean| over planes a..b-1, k = 1, 2."""
+        rho_h, halo = with_halo(rho, a, b)
+        pi = cfg.c ** 2 * np.log(rho_h)
+        gps = (derivative(pi, 0, h3[0], halo),
+               derivative(pi[halo:halo + b - a], 1, h3[1]))
+        return [np.max(np.abs(gp - gp.mean(axis=2)[:, :, None])) for gp in gps]
+
     worst = 0.0
-    for a in (0, 1):
-        gp = derivative(pi, a, h3[a])
-        worst = max(worst, float(np.max(np.abs(gp - gp.mean(axis=2)[:, :, None]))))
+    for part in zip(*map_slabs(slab, rho.shape[0], rho[0].size)):
+        worst = max(worst, float(np.max(part)))
     return worst
 
 
@@ -304,15 +321,49 @@ def rk4(f, y: list, t: float, dt: float) -> list:
     ``f(t, y)`` returns one slope per entry of ``y``; a ``None`` slope
     leaves its entry unchanged (the same object).  The stages are
     ``y + s * k`` and the update is ``y + (dt / 6)(k1 + 2 k2 + 2 k3 + k4)``.
+    Each is formed into one fresh array per entry, one x1-slab at a time
+    (:func:`map_slabs`); neither ``y`` nor a slope is written to.  IEEE
+    addition commutes and doubling is exact, so the sums, taken as
+    ``2 k2 + k1 + 2 k3 + k4``, are the bits of the formula above.
     """
+    def combine(job, *arrays):
+        shape = np.shape(arrays[0])
+        if any(np.shape(x) != shape for x in arrays):
+            arrays = np.broadcast_arrays(*arrays)
+            shape = arrays[0].shape
+        out = np.empty(shape, np.result_type(*arrays, 1.0))
+
+        def slab(a, b):
+            if b - a == len(out):  # one slab: the whole arrays, unsliced
+                job(out, *arrays)
+            else:
+                job(out[a:b], *[x[a:b] for x in arrays])
+
+        if out.ndim < 2:
+            job(out, *arrays)
+        else:
+            map_slabs(slab, shape[0], math.prod(shape[1:]))
+        return out
+
     def stage(k, s):
-        return [a if b is None else a + s * b for a, b in zip(y, k)]
+        def job(out, a, b):
+            np.multiply(b, s, out=out)
+            out += a
+        return [a if b is None else combine(job, a, b) for a, b in zip(y, k)]
+
+    def update(out, a, b1, b2, b3, b4):
+        np.multiply(b2, 2, out=out)
+        out += b1
+        out += 2 * b3
+        out += b4
+        out *= dt / 6.0
+        out += a
 
     k1 = f(t, y)
     k2 = f(t + 0.5 * dt, stage(k1, 0.5 * dt))
     k3 = f(t + 0.5 * dt, stage(k2, 0.5 * dt))
     k4 = f(t + dt, stage(k3, dt))
-    return [a if b1 is None else a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+    return [a if b1 is None else combine(update, a, b1, b2, b3, b4)
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
@@ -346,22 +397,38 @@ def assemble_velocity(state: FlowState) -> VectorField:
 
 
 def diagnostics(state: FlowState, cfg: SolverConfig) -> dict:
+    """Energy, mass, extremes and the two consistency deviations.  The
+    3D passes run one x1-slab at a time (:func:`map_slabs`): the energy
+    integrand is written slab by slab into one array and summed by one
+    ``np.sum``, and the maxima are maxima of per-slab maxima, so every
+    value is the whole-grid one, bit for bit."""
     g3 = state.grid3
-    rho3 = state.rho if state.rho.ndim == 3 else \
-        np.broadcast_to(state.rho[:, :, None], g3.dims)
+    u1, u2, u3, rho = state.u1, state.u2, state.u3, state.rho
+    rho3 = rho if rho.ndim == 3 else rho[:, :, None]
     vel = assemble_velocity(state)
-    u1b, u2b, u3 = (c.values for c in vel.components)
+    integrand = np.empty(g3.dims)
+
+    def slab(a, b):
+        """Planes a..b-1 of rho |u|^2; returns max |u3| there."""
+        e = integrand[a:b]
+        np.square(u3[a:b], out=e)
+        horizontal = u1[a:b] ** 2
+        horizontal += u2[a:b] ** 2
+        e += horizontal[:, :, None]
+        e *= rho3[a:b]
+        return np.max(np.abs(u3[a:b]))
+
+    u3max = np.max(map_slabs(slab, g3.dims[0], g3.npoints // g3.dims[0]))
     dv = g3.cell_volume
-    energy = 0.5 * dv * float(np.sum(rho3 * (u1b ** 2 + u2b ** 2 + u3 ** 2)))
-    if state.rho.ndim == 2:
-        mass = state.grid2.cell_volume * float(np.sum(state.rho))
+    energy = 0.5 * dv * float(np.sum(integrand))
+    if rho.ndim == 2:
+        mass = state.grid2.cell_volume * float(np.sum(rho))
     else:
-        mass = dv * float(np.sum(state.rho))
-    umax = float(max(np.max(np.abs(state.u1)), np.max(np.abs(state.u2)),
-                     np.max(np.abs(state.u3))))
+        mass = dv * float(np.sum(rho))
+    umax = float(max(np.max(np.abs(u1)), np.max(np.abs(u2)), u3max))
     return {"time": state.time, "energy": energy, "mass": mass,
-            "rho_min": float(np.min(state.rho)),
-            "rho_max": float(np.max(state.rho)), "umax": umax,
+            "rho_min": float(np.min(rho)),
+            "rho_max": float(np.max(rho)), "umax": umax,
             "rsf_dev": check_rsf(vel, zero_pattern(3)),
             "pressure_residual": pressure_consistency_residual(state, cfg)}
 

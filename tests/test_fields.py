@@ -125,6 +125,71 @@ def test_stencil_is_bit_identical_to_rolled_formula(stencil, rolled, shape,
             check()
 
 
+def _three_slice_pair(op, values, k, other=None):
+    """The stencil's pair op along the last axis as three slices: the
+    interior and the two wrapped edges."""
+    n = values.shape[-1]
+    out = np.empty(values.shape)
+    if not k:
+        return op(values, other, out=out)
+    op(values[..., 2 * k:], values[..., :n - 2 * k], out=out[..., k:n - k])
+    op(values[..., k:2 * k], values[..., n - k:], out=out[..., :k])
+    op(values[..., :k], values[..., n - 2 * k:n - k], out=out[..., n - k:])
+    return out
+
+
+def _three_slice_derivative(values, h):
+    out = _three_slice_pair(np.subtract, values, 1)
+    out *= 8.0
+    out -= _three_slice_pair(np.subtract, values, 2)
+    out /= 12.0 * h
+    return out
+
+
+def _three_slice_second_derivative(values, h):
+    out = _three_slice_pair(np.add, values, 1)
+    out *= 16.0
+    out -= _three_slice_pair(np.add, values, 2)
+    out -= _three_slice_pair(np.multiply, values, 0, 30.0)
+    out /= 12.0 * h * h
+    return out
+
+
+def _last_axis_cases():
+    rng = np.random.default_rng(11)
+    big = rng.normal(size=(40, 60, 61))  # cut into slabs on the pool
+    nan = rng.normal(size=(6, 5, 9))
+    nan[1, 2, 0] = nan[1, 3, 8] = nan[4, 0, 4] = np.nan  # line ends, middle
+    return {
+        "1d": rng.normal(size=9), "1d n=4": rng.normal(size=4),
+        "2d": rng.normal(size=(7, 11)), "2d n=4": rng.normal(size=(5, 4)),
+        "3d": rng.normal(size=(6, 5, 9)), "3d n=4": rng.normal(size=(3, 5, 4)),
+        "3d pool": big, "slab view": big[7:12],
+        "strided view": big[:, :, 3:58],
+        "broadcast view": np.broadcast_to(rng.normal(size=13), (6, 5, 13)),
+        "nan": nan,
+    }
+
+
+@pytest.mark.parametrize("stencil, reference", [
+    (derivative, _three_slice_derivative),
+    (second_derivative, _three_slice_second_derivative)],
+    ids=["first", "second"])
+@pytest.mark.parametrize("case", list(_last_axis_cases()))
+def test_last_axis_pass_is_the_three_slice_stencil(stencil, reference, case,
+                                                   monkeypatch):
+    # the contiguous pass over all lines writes the edge nodes from the
+    # neighbouring line first; they must end up as the wrapped slices give
+    values = _last_axis_cases()[case]
+    expected = reference(values, 0.37)
+    with ThreadPoolExecutor(3) as pool:
+        monkeypatch.setattr(fields_module, "_slab_pool", lambda: pool)
+        got = stencil(values, -1, 0.37)
+    assert np.array_equal(got, expected, equal_nan=True)
+    if case == "nan":
+        assert np.isnan(got).any()
+
+
 def _slab_derivative_in_child(values, expected):
     sys.exit(0 if np.array_equal(derivative(values, 0, 0.37), expected) else 1)
 

@@ -1,19 +1,26 @@
 """Solver: configuration, modes, conservation, determinism, failure modes."""
 
+import importlib.util
 import math
 import multiprocessing
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rsflow import fields as fields_module
-from rsflow.fields import derivative, second_derivative
-from rsflow.solver import (SolverConfig, cfl_dt, diagnostics, format_config,
-                           init_state, parse_config, rhs, rk4, run_simulation,
-                           step_rk4)
+from rsflow import rsf as rsf_module
+from rsflow import solver as solver_module
+from rsflow.fields import Grid, VectorField, derivative, second_derivative
+from rsflow.rsf import ZeroPattern, check_rsf, zero_pattern
+from rsflow.solver import (SolverConfig, assemble_velocity, cfl_dt,
+                           diagnostics, format_config, init_state,
+                           parse_config, pressure_consistency_residual, rhs,
+                           rk4, run_simulation, step_rk4)
 
 
 SMALL = dict(dims=(16, 16, 8), t_end=0.05, amplitude=0.05, snapshot_stride=2)
@@ -320,6 +327,173 @@ def test_rhs_runs_on_the_pool_in_a_forked_child(nested):
         child.kill()
         child.join()
     assert not alive and child.exitcode == 0
+
+
+# ----------------------------------------------------------------------
+# rk4 and the diagnostics in slabs
+# ----------------------------------------------------------------------
+
+def _whole_array_rk4(f, y, t, dt):
+    """rk4 as whole-array expressions."""
+    def stage(k, s):
+        return [a if b is None else a + s * b for a, b in zip(y, k)]
+
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * dt, stage(k1, 0.5 * dt))
+    k3 = f(t + 0.5 * dt, stage(k2, 0.5 * dt))
+    k4 = f(t + dt, stage(k3, dt))
+    return [a if b1 is None else a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
+# a 2D entry of at least _SLAB_MIN_SIZE points whose x1 is not a multiple
+# of the slab height (65 rows of 1000)
+ROWS = (300, 1000)
+
+
+def test_rk4_entries_are_cut_into_uneven_slabs():
+    assert math.prod(ROWS) >= fields_module._SLAB_MIN_SIZE
+    assert ROWS[0] % (fields_module._SLAB_SIZE // ROWS[1]) != 0
+
+
+def test_rk4_in_slabs_is_the_whole_array_step(three_slab_threads):
+    rng = np.random.default_rng(5)
+    frozen = np.ones(4)
+    y = [np.array(0.5),  # 0-d
+         rng.normal(size=300_000),  # 1-D
+         rng.normal(size=ROWS),
+         rng.normal(size=POOL_DIMS),
+         np.broadcast_to(rng.normal(size=POOL_DIMS[1:]), POOL_DIMS),
+         rng.normal(size=POOL_DIMS[::-1]).T,
+         frozen]
+    before = [np.copy(a) for a in y]
+    returned = []  # each slope with a copy of its values when returned
+
+    def slope(t, y):
+        ks = [y[0], np.cos(t) * y[1], y[2] ** 2 - t, y[3],
+              np.sin(y[3]) + t, np.cos(y[5]), None]
+        returned.extend((k, np.copy(k)) for k in ks if k is not None)
+        return ks
+
+    got = rk4(slope, y, 0.3, 0.1)
+    for a, b in zip(y, before):
+        assert np.array_equal(a, b)
+    for k, values in returned:
+        assert np.array_equal(k, values)
+    assert got[-1] is frozen
+    expected = _whole_array_rk4(slope, y, 0.3, 0.1)
+    for g, e in zip(got, expected):
+        assert g.shape == e.shape and np.array_equal(g, e)
+
+
+def _whole_grid_rsf_dev(u, pattern):
+    worst = 0.0
+    for c, r in pattern.required_zero:
+        der = derivative(u.components[c - 1].values, r - 1,
+                         u.grid.spacing[r - 1])
+        worst = max(worst, float(np.max(np.abs(der))))
+    return worst
+
+
+def _whole_grid_pressure_residual(state, cfg):
+    if cfg.mode != "free":
+        return 0.0
+    pi = cfg.c ** 2 * np.log(state.rho)
+    h3 = state.grid3.spacing
+    worst = 0.0
+    for a in (0, 1):
+        gp = derivative(pi, a, h3[a])
+        worst = max(worst, float(np.max(np.abs(gp - gp.mean(axis=2)[:, :, None]))))
+    return worst
+
+
+def _whole_grid_diagnostics(state, cfg):
+    """diagnostics as whole-grid passes."""
+    g3 = state.grid3
+    rho3 = state.rho if state.rho.ndim == 3 else \
+        np.broadcast_to(state.rho[:, :, None], g3.dims)
+    vel = assemble_velocity(state)
+    u1b, u2b, u3 = (c.values for c in vel.components)
+    dv = g3.cell_volume
+    energy = 0.5 * dv * float(np.sum(rho3 * (u1b ** 2 + u2b ** 2 + u3 ** 2)))
+    cell = g3.cell_volume if state.rho.ndim == 3 else state.grid2.cell_volume
+    umax = float(max(np.max(np.abs(state.u1)), np.max(np.abs(state.u2)),
+                     np.max(np.abs(state.u3))))
+    return {"time": state.time, "energy": energy,
+            "mass": cell * float(np.sum(state.rho)),
+            "rho_min": float(np.min(state.rho)),
+            "rho_max": float(np.max(state.rho)), "umax": umax,
+            "rsf_dev": _whole_grid_rsf_dev(vel, zero_pattern(3)),
+            "pressure_residual": _whole_grid_pressure_residual(state, cfg)}
+
+
+@pytest.mark.parametrize("mode", ["constrained", "free"])
+def test_diagnostics_in_slabs_are_the_whole_grid_values(mode,
+                                                        three_slab_threads):
+    # with seed 3, summing the energy integrand slab by slab would round
+    # differently from the one pairwise sum of the whole integrand
+    cfg = SolverConfig(mode=mode, dims=POOL_DIMS, seed=3, amplitude=0.3)
+    state = init_state(cfg)
+    expected = _whole_grid_diagnostics(state, cfg)
+    assert diagnostics(state, cfg) == expected
+    assert pressure_consistency_residual(state, cfg) == \
+        expected["pressure_residual"]
+    assert (expected["pressure_residual"] > 0) == (mode == "free")
+
+
+@pytest.mark.parametrize("pattern", [
+    zero_pattern(3), ZeroPattern(3, frozenset({(2, 1), (3, 1), (1, 3)}))],
+    ids=["rsf", "with-x1"])
+def test_check_rsf_in_slabs_is_the_whole_grid_value(pattern,
+                                                    three_slab_threads):
+    # a generic (non-RSF) field, so every entry is nonzero; the second
+    # pattern differentiates along x1, which reads halo planes
+    rng = np.random.default_rng(6)
+    grid = Grid(POOL_DIMS)
+    u = VectorField.from_arrays(grid, rng.normal(size=(3,) + POOL_DIMS))
+    expected = _whole_grid_rsf_dev(u, pattern)
+    assert expected > 0 and check_rsf(u, pattern) == expected
+
+
+def _tracer_module():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_slab_jobs_call_no_traced_function(three_slab_threads, monkeypatch):
+    # the benchmark's tracer keeps one span stack for all threads, so the
+    # functions it wraps must not run in a pool job
+    tracer = _tracer_module()
+    seen = {}
+
+    class ThreadRecorder(tracer.Tracer):
+        def _wrap(self, name, fn):
+            def wrapper(*args, **kwargs):
+                seen.setdefault(name, set()).add(threading.current_thread())
+                return fn(*args, **kwargs)
+            return wrapper
+
+    def spy(*args, **kwargs):
+        seen.setdefault("derivative", set()).add(threading.current_thread())
+        return derivative(*args, **kwargs)
+
+    for module in (solver_module, rsf_module):
+        monkeypatch.setattr(module, "derivative", spy)
+    with ThreadRecorder().installed():
+        for mode in ("constrained", "free"):
+            cfg = SolverConfig(mode=mode, dims=POOL_DIMS, seed=5, nu=0.01)
+            state = init_state(cfg)
+            solver_module.step_rk4(state, cfg, 0.01)
+            solver_module.diagnostics(state, cfg)
+    me = threading.current_thread()
+    assert seen.pop("derivative") - {me}  # the slab jobs ran on the pool
+    assert {"solver.step_rk4", "solver.rhs", "solver.diagnostics",
+            "rsf.check_rsf"} <= set(seen)
+    for name, threads in seen.items():
+        assert threads == {me}, name
 
 
 def test_viscous_term_damps_a_single_mode():
