@@ -266,7 +266,7 @@ def map_slabs(job, n: int, plane: int) -> list:
 
 
 def with_halo(values, a: int, b: int) -> tuple:
-    """``(planes, halo)``: what :func:`derivative` along axis 0 with that
+    """``(planes, halo)``: what :func:`derivative` along any axis with that
     ``halo`` reads for the planes ``a`` to ``b - 1`` of the periodic
     ``values``.  That is planes ``a - HALO`` to ``b - 1 + HALO``, wrapped
     (a view where nothing wraps), and ``HALO``; for all of ``values``, it
@@ -277,7 +277,9 @@ def with_halo(values, a: int, b: int) -> tuple:
         return values, 0
     if HALO <= a and b + HALO <= n:
         return values[a - HALO:b + HALO], HALO
-    return values.take(np.arange(a - HALO, b + HALO) % n, axis=0), HALO
+    # indexing copies only these planes; take would first copy all of a
+    # non-contiguous values, such as a broadcast view
+    return values[np.arange(a - HALO, b + HALO) % n], HALO
 
 
 def _pair(op, values, axis: int, k: int, out, other=None) -> None:
@@ -333,8 +335,9 @@ def _second(values, axis, scale, out, tmp):
 
 
 def _stencil(kernel, values, axis: int, scale: float, halo: int = 0) -> np.ndarray:
-    """Run ``kernel`` into a fresh array, in x1-slabs for large arrays.
-    ``halo`` planes at each end of ``axis`` are read but not computed."""
+    """Run ``kernel`` along ``axis`` into a fresh array, in x1-slabs for
+    large arrays.  ``halo`` planes at each end of axis 0, whatever ``axis``
+    is, are left out of the result; only an axis-0 stencil reads them."""
     values = np.asarray(values)
     axis = range(values.ndim)[axis]
     if 0 < halo < HALO:
@@ -344,13 +347,13 @@ def _stencil(kernel, values, axis: int, scale: float, halo: int = 0) -> np.ndarr
         raise ValueError(f"stencil needs at least 4 points along axis {axis}, "
                          f"got {values.shape[axis]}")
     shape = list(values.shape)
-    shape[axis] -= 2 * halo
+    shape[0] -= 2 * halo
     out = np.empty(shape, np.result_type(values, 1.0))
     n = shape[0]
 
     def slab(a, b):
         if axis:
-            src = values[a:b]
+            src = values[halo + a:halo + b]
         elif halo:  # the caller's halo planes
             src = values[a:b + 2 * halo]
         else:
@@ -370,15 +373,15 @@ def derivative(values, axis: int, h: float, halo: int = 0) -> np.ndarray:
     ``(8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / 12h``.
 
     With ``halo`` > 0 the array carries that many extra planes at each
-    end of ``axis`` (as :func:`with_halo` gives them): the stencil reads
-    them, the result leaves them out, and no index wraps."""
+    end of axis 0, whatever ``axis`` is (as :func:`with_halo` gives them):
+    the result leaves them out, and only an axis-0 stencil reads them."""
     return _stencil(_first, values, axis, 12.0 * h, halo)
 
 
 def second_derivative(values, axis: int, h: float, halo: int = 0) -> np.ndarray:
     """4th-order centered periodic second derivative of an array along ``axis``:
     ``(16 (f[i+1] + f[i-1]) - (f[i+2] + f[i-2]) - 30 f[i]) / 12h^2``,
-    with ``halo`` as in :func:`derivative`."""
+    with ``halo`` planes along axis 0 as in :func:`derivative`."""
     return _stencil(_second, values, axis, 12.0 * h * h, halo)
 
 
@@ -454,10 +457,6 @@ class Interpolator:
     axis); one call interpolates a whole stack of fields (velocity
     components, gradient entries, form coefficients) at the same points.
     Points landing on grid nodes reproduce nodal values bit-exactly.
-
-    Trailing line axes carry whole lines through the gather: with
-    ``line_axes=1`` a 2D interpolator on the (x1, x2) plane reads every
-    x3-line of a 3D stack at once, leaving 4 taps per point along x3.
     """
 
     def __init__(self, grid: Grid, points):
@@ -475,21 +474,18 @@ class Interpolator:
             self._idx.append([i * stride for i in idx])
             self._w.append(w)
 
-    def __call__(self, values, *, line_axes: int = 0) -> np.ndarray:
-        """Interpolate fields of shape ``extra + grid.dims + line``, where
-        ``line`` is the last ``line_axes`` axes; returns ``extra + shape +
-        line`` (a single field is the case ``extra == line == ()``)."""
+    def __call__(self, values) -> np.ndarray:
+        """Interpolate fields of shape ``extra + grid.dims``; returns
+        ``extra + shape`` (a single field is the case ``extra == ()``)."""
         values = np.asarray(values, dtype=float)
-        d = self.grid.d
-        end = values.ndim - line_axes
-        if line_axes < 0 or end < d or values.shape[end - d:end] != self.grid.dims:
+        end = values.ndim - self.grid.d
+        if end < 0 or values.shape[end:] != self.grid.dims:
             raise ValueError(f"values shape {values.shape} is not extra + "
-                             f"grid dims {self.grid.dims} + {line_axes} line axes")
-        extra, line = values.shape[:end - d], values.shape[end:]
-        rows = values.reshape(-1, self.grid.npoints, math.prod(line))
-        out = np.empty((rows.shape[0], self._idx[0][0].size, rows.shape[2]))
+                             f"grid dims {self.grid.dims}")
+        rows = values.reshape(-1, self.grid.npoints, 1)
+        out = np.empty((rows.shape[0], self._idx[0][0].size, 1))
         self.gather(rows, out, np.empty(out.shape))
-        return out.reshape(extra + self.shape + line)
+        return out.reshape(values.shape[:end] + self.shape)
 
     def gather(self, rows, out, tap, start: int = 0) -> None:
         """The one gather kernel, which :meth:`__call__` runs over every

@@ -105,8 +105,7 @@ def check_rsf(u: VectorField, pattern: ZeroPattern) -> float:
         values, axis = u.components[c - 1].values, r - 1
 
         def slab(a, b):
-            planes, halo = (with_halo(values, a, b) if axis == 0
-                            else (values[a:b], 0))
+            planes, halo = with_halo(values, a, b)
             return np.max(np.abs(derivative(planes, axis, h[axis], halo)))
 
         part = map_slabs(slab, n, u.grid.npoints // n)

@@ -137,11 +137,9 @@ def _laplacian(v, spacing, halo: int = 0):
     """Sum of the second derivatives of ``v`` along every axis, added up
     from 0; ``v`` carries ``halo`` planes at each end of axis 0 (as
     :func:`with_halo` gives them)."""
-    own = v[halo:v.shape[0] - halo]
-    out = np.zeros(own.shape)
-    out += second_derivative(v, 0, spacing[0], halo)
-    for a in range(1, v.ndim):
-        out += second_derivative(own, a, spacing[a])
+    out = np.zeros((v.shape[0] - 2 * halo,) + v.shape[1:])
+    for a in range(v.ndim):
+        out += second_derivative(v, a, spacing[a], halo)
     return out
 
 
@@ -219,11 +217,11 @@ def rhs(state: FlowState, cfg: SolverConfig):
         out = du3[a:b]
         u3_h, halo = with_halo(u3, a, b)
         np.multiply(u1b[a:b], derivative(u3_h, 0, h3[0], halo), out=out)
-        tmp = derivative(own, 1, h3[1])
+        tmp = derivative(u3_h, 1, h3[1], halo)
         tmp *= u2b[a:b]
         out += tmp
         np.negative(out, out=out)
-        d3u3 = derivative(own, 2, h3[2])
+        d3u3 = derivative(u3_h, 2, h3[2], halo)
         hi, lo = np.max(d3u3), np.min(d3u3)
         node = None
         if max(hi, -lo) > U3_GRADIENT_ABORT:
@@ -234,10 +232,9 @@ def rhs(state: FlowState, cfg: SolverConfig):
         if free:
             rho_h, _ = with_halo(rho, a, b)
             pi = cfg.c ** 2 * np.log(rho_h)
-            pi_own = pi[halo:halo + b - a]
             gp1[a:b] = derivative(pi, 0, h3[0], halo).mean(axis=2)
-            gp2[a:b] = derivative(pi_own, 1, h3[1]).mean(axis=2)
-            out -= derivative(pi_own, 2, h3[2])
+            gp2[a:b] = derivative(pi, 1, h3[1], halo).mean(axis=2)
+            out -= derivative(pi, 2, h3[2], halo)
             flux = derivative(rho_h * with_halo(u1b, a, b)[0], 0, h3[0], halo)
             flux += derivative(rho[a:b] * u2b[a:b], 1, h3[1])
             flux += derivative(rho[a:b] * own, 2, h3[2])
@@ -290,8 +287,7 @@ def pressure_consistency_residual(state: FlowState, cfg: SolverConfig) -> float:
         """Max |dk Pi - its vertical mean| over planes a..b-1, k = 1, 2."""
         rho_h, halo = with_halo(rho, a, b)
         pi = cfg.c ** 2 * np.log(rho_h)
-        gps = (derivative(pi, 0, h3[0], halo),
-               derivative(pi[halo:halo + b - a], 1, h3[1]))
+        gps = (derivative(pi, 0, h3[0], halo), derivative(pi, 1, h3[1], halo))
         return [np.max(np.abs(gp - gp.mean(axis=2)[:, :, None])) for gp in gps]
 
     worst = 0.0
@@ -321,28 +317,22 @@ def rk4(f, y: list, t: float, dt: float) -> list:
     ``f(t, y)`` returns one slope per entry of ``y``; a ``None`` slope
     leaves its entry unchanged (the same object).  The stages are
     ``y + s * k`` and the update is ``y + (dt / 6)(k1 + 2 k2 + 2 k3 + k4)``.
-    Each is formed into one fresh array per entry, one x1-slab at a time
-    (:func:`map_slabs`); neither ``y`` nor a slope is written to.  IEEE
-    addition commutes and doubling is exact, so the sums, taken as
-    ``2 k2 + k1 + 2 k3 + k4``, are the bits of the formula above.
+    Each is formed into one fresh array shaped like its entry (and its
+    slope), one x1-slab at a time (:func:`map_slabs`); a 0-d entry is one
+    call.  Neither ``y`` nor a slope is written to.  IEEE addition commutes
+    and doubling is exact, so the sums, taken as ``2 k2 + k1 + 2 k3 + k4``,
+    are the bits of the formula above.
     """
     def combine(job, *arrays):
-        shape = np.shape(arrays[0])
-        if any(np.shape(x) != shape for x in arrays):
-            arrays = np.broadcast_arrays(*arrays)
-            shape = arrays[0].shape
-        out = np.empty(shape, np.result_type(*arrays, 1.0))
+        out = np.empty(np.shape(arrays[0]), np.result_type(*arrays, 1.0))
+        if not out.ndim:
+            job(out, *arrays)
+            return out
 
         def slab(a, b):
-            if b - a == len(out):  # one slab: the whole arrays, unsliced
-                job(out, *arrays)
-            else:
-                job(out[a:b], *[x[a:b] for x in arrays])
+            job(out[a:b], *[x[a:b] for x in arrays])
 
-        if out.ndim < 2:
-            job(out, *arrays)
-        else:
-            map_slabs(slab, shape[0], math.prod(shape[1:]))
+        map_slabs(slab, len(out), math.prod(out.shape[1:]))
         return out
 
     def stage(k, s):

@@ -175,11 +175,9 @@ class VelocityHistory:
                 acc = w[0] * planes
                 for m in range(1, 4):
                     acc = acc + w[m] * with_halo(snaps[m][c], a, b)[0]
-                own = acc[halo:halo + b - a]
-                out[i, a:b] = own
-                grads[0, i, a:b] = derivative(acc, 0, h[0], halo)
-                for k in range(1, nd):
-                    grads[k, i, a:b] = derivative(own, k, h[k])
+                out[i, a:b] = acc[halo:halo + b - a]
+                for k in range(nd):
+                    grads[k, i, a:b] = derivative(acc, k, h[k], halo)
 
         map_slabs(slab, dims[0], math.prod(dims[1:]))
         return out

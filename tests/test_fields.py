@@ -2,6 +2,7 @@
 
 import multiprocessing
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -212,13 +213,37 @@ def test_slab_stencil_runs_in_a_forked_child():
     assert not alive and child.exitcode == 0
 
 
-@pytest.mark.parametrize("a, b", [(0, 1), (0, 3), (5, 9), (10, 12), (0, 12)])
-def test_derivative_with_halo_is_the_periodic_one_on_its_planes(a, b):
+# slabs (a, b) of 12 planes; (0, 1), (0, 3) and (10, 12) wrap their halo.
+# ids are "a-b", prefixed by stencil and axis but for the x1 first derivative
+@pytest.mark.parametrize("stencil, axis, a, b", [
+    pytest.param(stencil, axis, a, b,
+                 id=f"{a}-{b}" if (stencil, axis) == (derivative, 0)
+                 else f"{stencil.__name__}-{axis}-{a}-{b}")
+    for stencil in (derivative, second_derivative) for axis in range(3)
+    for a, b in ((0, 1), (0, 3), (5, 9), (10, 12), (0, 12))])
+def test_derivative_with_halo_is_the_periodic_one_on_its_planes(stencil, axis,
+                                                                a, b):
     v = np.random.default_rng(9).normal(size=(12, 9, 8))
     planes, halo = with_halo(v, a, b)
     assert halo == (0 if (a, b) == (0, 12) else HALO)
-    got = derivative(planes, 0, 0.37, halo)
-    assert np.array_equal(got, derivative(v, 0, 0.37)[a:b])
+    got = stencil(planes, axis, 0.37, halo)
+    assert np.array_equal(got, stencil(v, axis, 0.37)[a:b])
+
+
+def test_with_halo_copies_only_the_planes_it_returns():
+    # a wrapped slab of a broadcast view, as check_rsf's u1 and u2 are,
+    # must not copy the whole array first (ndarray.take does: 2 MB here)
+    u = np.random.default_rng(3).normal(size=(64, 64))
+    values = np.broadcast_to(u[:, :, None], (64, 64, 64))
+    tracemalloc.start()
+    try:
+        planes, halo = with_halo(values, 0, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert halo == HALO
+    assert np.array_equal(planes, np.roll(values, HALO, axis=0)[:4 + 2 * HALO])
+    assert peak < 2 * planes.nbytes
 
 
 def test_stencil_rejects_axis_shorter_than_its_reach():
@@ -290,8 +315,9 @@ def _column_gather(grid, stack, xh, x3):
     """The flow map's column-structured 3D gather: whole x3-lines at the
     columns ``xh``, then 4 taps along x3 at ``x3`` (column, layer)."""
     plane = Grid(grid.dims[:2], grid.length[:2])
-    lines = Interpolator(plane, xh)(stack, line_axes=1)
-    assert lines.shape == stack.shape[:1] + (len(xh), grid.dims[2])
+    rows = stack.reshape(len(stack), plane.npoints, grid.dims[2])
+    lines = np.empty((len(stack), len(xh), grid.dims[2]))
+    Interpolator(plane, xh).gather(rows, lines, np.empty(lines.shape))
     idx, w = lagrange4_taps(x3, grid.spacing[2], grid.dims[2], axis=2)
     start = np.arange(len(xh))[:, None] * grid.dims[2]
     flat = lines.reshape(len(stack), -1)
@@ -323,12 +349,11 @@ def test_interpolator_line_axes_carry_whole_lines():
     rng = np.random.default_rng(9)
     stack = rng.standard_normal((3,) + g.dims + (4, 5))
     itp = Interpolator(g, rng.uniform(-1.0, 7.0, size=(6, 2)))
-    got = itp(stack, line_axes=2)
-    assert got.shape == (3, 6, 4, 5)
+    got = np.empty((3, 6, 20))
+    itp.gather(stack.reshape(3, g.npoints, 20), got, np.empty(got.shape))
+    got = got.reshape(3, 6, 4, 5)
     for i, j in np.ndindex(4, 5):
         assert np.array_equal(got[..., i, j], itp(stack[..., i, j]))
-    with pytest.raises(ValueError, match="grid dims"):
-        itp(stack, line_axes=1)
 
 
 def test_gather_over_ranges_of_points_is_the_whole_call():
@@ -336,7 +361,7 @@ def test_gather_over_ranges_of_points_is_the_whole_call():
     rng = np.random.default_rng(10)
     stack = rng.standard_normal((3,) + g.dims + (4,))
     itp = Interpolator(g, rng.uniform(-1.0, 7.0, size=(11, 2)))
-    want = itp(stack, line_axes=1)
+    want = np.moveaxis(itp(np.moveaxis(stack, -1, 1)), 1, -1)
     rows = stack.reshape(3, g.npoints, 4)
     got = np.full(want.shape, np.nan)
     for a, b in ((0, 4), (4, 9), (9, 11)):  # each range into its slice

@@ -8,6 +8,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from rsflow.cli import build_parser
 from rsflow.solver import SolverConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,7 +39,7 @@ def test_imports_are_at_module_level():
 
 
 def test_only_fields_makes_a_thread_pool():
-    # every slab of every stencil and of rhs runs on fields' one pool
+    # every map_slabs job, whichever module submits it, runs on fields' one pool
     makers = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -63,3 +64,12 @@ def test_readme_lists_the_config_keys():
     keys = re.search(r"keys are the fields of\s+`SolverConfig`:(.*?)\.\s",
                      text, re.S).group(1)
     assert re.findall(r"`(\w+)`", keys) == [f.name for f in fields(SolverConfig)]
+
+
+def test_readme_cli_block_names_every_subcommand():
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## CLI\s+```sh\n(.*?)```", text, re.S).group(1)
+    named = [line.split()[1] for line in block.splitlines() if line.strip()]
+    usage = build_parser().format_usage()
+    commands = re.search(r"\{([\w,-]+)\}", usage).group(1).split(",")
+    assert sorted(named) == sorted(commands)

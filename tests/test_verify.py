@@ -257,7 +257,10 @@ def _whole_plane_flowmap(h, t0, t1, substeps):
         xh, jh, x3, jv = state
         itp = Interpolator(plane, xh.T)
         vh = itp(cols)
-        lines = itp(full, line_axes=1).reshape(len(full), -1)
+        lines = np.empty((len(full), ncol, n2))
+        itp.gather(full.reshape(len(full), ncol, n2), lines,
+                   np.empty(lines.shape))
+        lines = lines.reshape(len(full), -1)
         idx, w = lagrange4_taps(x3, h2, n2, axis=2)
         v = sum(lines.take(line_start + i, axis=1) * wi for i, wi in zip(idx, w))
         gh = vh[2:].reshape(2, 2, ncol)
