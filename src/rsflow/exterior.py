@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, Interpolator, ScalarField, VectorField
+from .fields import Grid, Interpolator, ScalarField, VectorField, check_finite
 from .trig import TrigPoly
 
 __all__ = [
@@ -289,8 +289,7 @@ class DiscreteMap:
         if jac.shape != self.grid.dims + (d, d):
             raise ValueError(f"jacobian has shape {jac.shape}, "
                              f"expected {self.grid.dims + (d, d)}")
-        if not np.all(np.isfinite(jac)):
-            raise ValueError("jacobian contains NaN or Inf")
+        check_finite("", [jac], ["J"])
         det = self.det
         if det is None:
             det = jacobian_minor(jac, range(d), range(d))
@@ -322,8 +321,10 @@ def pullback(dmap: DiscreteMap, omega: KForm) -> KForm:
     src_grid = omega.grid
     if src_grid is None and omega.coeffs:
         raise ValueError("pullback needs grid coefficients")
-    if np.any(np.abs(dmap.det) < 1e-300):
-        raise ValueError("singular jacobian in pullback")
+    bad = int(np.argmin(np.abs(dmap.det)))  # a NaN det J comes first
+    if not abs(dmap.det.flat[bad]) >= 1e-300:
+        raise ValueError(f"singular jacobian in pullback: det J = "
+                         f"{dmap.det.flat[bad]:.3g} at particle {bad}")
     pts = np.stack([c.values for c in dmap.images.components], axis=-1)
     if not omega.coeffs:
         return KForm(grid.d, k, {})

@@ -91,14 +91,18 @@ def _shaped(grid, values):
     return v
 
 
-def check_finite(name: str, arrays) -> None:
-    """Raise naming the first NaN or Inf: component, value and node."""
+def check_finite(where: str, arrays, names=None, error=ValueError) -> None:
+    """The package's one NaN/Inf scan: raise ``error`` at the first bad value
+    as ``<where>: <name> = <value> at node <index>``, named by ``names`` or
+    u1, u2, ...; an empty ``where`` leaves out its prefix."""
     for c, values in enumerate(arrays):
         finite = np.isfinite(values)
         if not finite.all():
             node = np.unravel_index(np.argmin(finite), finite.shape)
-            raise ValueError(f"{name}: u{c + 1} = {values[node]} at node "
-                             f"{tuple(int(k) for k in node)}")
+            prefix = f"{where}: " if where else ""
+            name = names[c] if names else f"u{c + 1}"
+            raise error(f"{prefix}{name} = {values[node]} at node "
+                        f"{tuple(int(k) for k in node)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +112,7 @@ class ScalarField:
 
     def __post_init__(self):
         values = _shaped(self.grid, self.values)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field contains NaN or Inf")
+        check_finite("", [values], ["field"])
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -129,7 +132,7 @@ class ScalarField:
         return not np.any(self.values)  # a NaN is nonzero
 
     # Arithmetic skips the NaN/Inf scan: inputs are checked where they
-    # enter (this constructor, RSFF reads, DiscreteMap, step_rk4).
+    # enter, by check_finite.
     @classmethod
     def _unchecked(cls, grid: Grid, values) -> "ScalarField":
         out = object.__new__(cls)
@@ -182,13 +185,9 @@ class VectorField:
         object.__setattr__(self, "components", comps)
 
     @classmethod
-    def from_arrays(cls, grid: Grid, arrays) -> "VectorField":
-        return cls(grid, tuple(ScalarField(grid, a) for a in arrays))
-
-    @classmethod
-    def from_finite(cls, name: str, grid: Grid, arrays) -> "VectorField":
-        """Like :meth:`from_arrays`, with one NaN/Inf scan: the one of
-        :func:`check_finite`, which names the first bad value."""
+    def from_arrays(cls, grid: Grid, arrays, name: str = "") -> "VectorField":
+        """Components u1, u2, ... from arrays, after one NaN/Inf scan of
+        each; ``name`` prefixes :func:`check_finite`'s message."""
         arrays = [_shaped(grid, a) for a in arrays]
         check_finite(name, arrays)
         return cls(grid, tuple(ScalarField._unchecked(grid, a) for a in arrays))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exterior import KForm, exterior_derivative
-from .fields import VectorField, derivative, map_slabs, with_halo
+from .fields import VectorField, check_finite, derivative, map_slabs, with_halo
 
 __all__ = [
     "DecompPlan", "ZeroPattern", "CanonicalRotation",
@@ -161,8 +161,7 @@ def canonical_antisymmetric(a: np.ndarray) -> CanonicalRotation:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains NaN or Inf")
+    check_finite("", [a], ["matrix"])
     n = a.shape[0]
     norm = max(np.linalg.norm(a), 1.0)
     if np.max(np.abs(a + a.T)) > 1e-12 * norm:

@@ -40,7 +40,8 @@ def write_field(path, f, time: float = 0.0) -> None:
 
 
 def read_field(path):
-    """Read an RSFF file; returns (VectorField, time).  Errors name the file."""
+    """Read an RSFF file; returns (VectorField, time).  Errors name the file.
+    The components' values are read-only views of the file's bytes."""
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not an RSFF file")
@@ -70,6 +71,6 @@ def read_field(path):
     comps = []
     for i in range(ncomp):
         vals = np.frombuffer(raw, dtype="<f8", count=n, offset=off + 8 * n * i)
-        comps.append(vals.reshape(dims).astype(np.float64))
-    return VectorField.from_finite(str(path), grid, comps), time
+        comps.append(vals.reshape(dims))
+    return VectorField.from_arrays(grid, comps, str(path)), time
 

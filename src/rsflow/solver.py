@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rsff
-from .fields import (Grid, ScalarField, VectorField, derivative, map_slabs,
+from .fields import (Grid, VectorField, check_finite, derivative, map_slabs,
                      second_derivative, taylor_green_2d, with_halo)
 from .rsf import check_rsf, zero_pattern
 from .trig import TrigPoly
@@ -258,7 +258,9 @@ def rhs(state: FlowState, cfg: SolverConfig):
     if kinematic:
         return None, None, du3, None
     if not positive:
-        raise RuntimeError(f"density non-positive at t={state.time:.6g}")
+        node = np.unravel_index(np.argmin(rho), rho.shape)
+        raise RuntimeError(f"density non-positive at t={state.time:.6g}: "
+                           f"rho = {rho[node]} at node {tuple(map(int, node))}")
 
     if cfg.mode == "constrained":
         pi = cfg.c ** 2 * np.log(rho)
@@ -363,11 +365,9 @@ def step_rk4(state: FlowState, cfg: SolverConfig, dt: float) -> FlowState:
         return rhs(FlowState(state.grid3, state.grid2, *y, t), cfg)
 
     y = rk4(slope, [state.u1, state.u2, state.u3, state.rho], state.time, dt)
-    new = FlowState(state.grid3, state.grid2, *y, state.time + dt)
-    for name, arr in zip(("u1", "u2", "u3", "rho"), y):
-        if not np.all(np.isfinite(arr)):
-            raise RuntimeError(f"NaN/Inf in {name} after step to t={new.time:.6g}")
-    return new
+    t = state.time + dt
+    check_finite(f"step to t={t:.6g}", y, ("u1", "u2", "u3", "rho"), RuntimeError)
+    return FlowState(state.grid3, state.grid2, *y, t)
 
 
 # ----------------------------------------------------------------------
@@ -456,7 +456,7 @@ def run_simulation(cfg: SolverConfig, outdir=None,
         comps = assemble_velocity_arrays(st)
         if out is not None:
             rsff.write_field(out / f"snap_{len(result.times):04d}.rsff",
-                             [ScalarField(st.grid3, c) for c in comps], st.time)
+                             VectorField.from_arrays(st.grid3, comps), st.time)
         result.times.append(st.time)
         if keep_history:
             result.snapshots.append(comps)

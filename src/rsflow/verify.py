@@ -24,9 +24,9 @@ from . import rsff
 from .exterior import (DiscreteMap, KForm, exterior_derivative,
                        jacobian_minor, lie_derivative_cartan,
                        lie_derivative_components, pullback, wedge)
-from .fields import (MIN_DIM, Grid, Interpolator, ScalarField, VectorField,
-                     check_finite, derivative, lagrange4_taps,
-                     lagrange4_weights, map_slabs, restrict, with_halo)
+from .fields import (MIN_DIM, Grid, Interpolator, VectorField, check_finite,
+                     derivative, lagrange4_taps, lagrange4_weights, map_slabs,
+                     restrict, with_halo)
 from .rsf import component_vorticities, decomposition_plan
 from .solver import SimulationResult, SolverConfig, rk4, run_simulation
 from .trig import TrigPoly
@@ -58,10 +58,10 @@ def _check_snapshot(name, comps, grid: Grid) -> None:
 
 
 def _columns(name, comps, grid: Grid) -> list:
-    """A snapshot given as three 3D arrays, with u1 and u2 taken once per
-    column (layer 0) as contiguous 2D arrays that hold no reference to a
-    3D one.  The frozen-in law holds only for RSF flows, so a u1 or u2
-    that varies along x3 is a ``ValueError``."""
+    """A snapshot given as three 3D arrays, as arrays that own their data,
+    so none keeps a 3D array or an RSFF file's bytes alive: u1 and u2 once
+    per column (layer 0) in 2D, and a copy of u3.  The frozen-in law holds
+    only for RSF flows, so a u1 or u2 varying along x3 is a ``ValueError``."""
     layers = [v[..., 0] for v in comps[:2]]
     _check_snapshot(name, layers + list(comps[2:]), grid)
     for c, layer in enumerate(layers):
@@ -70,7 +70,7 @@ def _columns(name, comps, grid: Grid) -> list:
             raise ValueError(f"{name}: u{c + 1} varies along x3 by up to "
                              f"{dev:.3g}; an RSF history needs u1 and u2 "
                              f"constant along x3")
-    return [np.ascontiguousarray(v) for v in layers] + [comps[2]]
+    return [np.ascontiguousarray(v) for v in layers] + [comps[2].copy()]
 
 
 class VelocityHistory:
@@ -594,8 +594,7 @@ def _boosted_double_tg(grid4: Grid, t: float) -> VectorField:
     off = [v * t for v in BOOST_D4]
     ax = [grid4.axis_coords(a) for a in range(4)]
     comps = [c.shifted(off) + v for c, v in zip(base, BOOST_D4)]
-    return VectorField(grid4, tuple(ScalarField(grid4, c.sample(ax))
-                                    for c in comps))
+    return VectorField.from_arrays(grid4, [c.sample(ax) for c in comps])
 
 
 def wedge_invariant_study(resolutions=(12, 24, 48)) -> VerificationReport:

@@ -77,7 +77,7 @@ def test_canonical_from_matrix_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, expected", [
-    ("5", "square 2-D"), ("[[0, NaN], [NaN, 0]]", "NaN or Inf")])
+    ("5", "square 2-D"), ("[[0, NaN], [NaN, 0]]", "matrix = nan at node (0, 1)")])
 def test_canonical_rejects_bad_matrix_file(text, expected, tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(text)

@@ -328,8 +328,22 @@ def test_discrete_map_rejects_bad_jacobian(bad):
         jac[3, 5, 1, 0] = np.nan
     else:
         jac = jac[..., :1]
-    with pytest.raises(ValueError, match="NaN" if bad == "nan" else "shape"):
+    with pytest.raises(ValueError, match=r"J = nan at node \(3, 5, 1, 0\)"
+                       if bad == "nan" else "shape"):
         DiscreteMap(g, ident.images, jac)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_pullback_names_the_particle_of_a_singular_jacobian(bad):
+    g = Grid.cube(2, 8)
+    ident = DiscreteMap.identity(g)
+    det = np.ones(g.dims)
+    det[3, 5] = bad
+    omega = KForm(2, 0, {(): ScalarField.zeros(g)})
+    with pytest.raises(ValueError) as info:
+        pullback(DiscreteMap(g, ident.images, ident.jacobian, det), omega)
+    assert str(info.value) == (f"singular jacobian in pullback: det J = "
+                               f"{bad:.3g} at particle 29")  # node (3, 5)
 
 
 def test_pullback_of_zero_form_composes():

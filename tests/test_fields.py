@@ -279,7 +279,7 @@ def test_scalarfield_rejects_nan():
     g = Grid((8,))
     bad = np.ones(8)
     bad[3] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^field = nan at node \(3,\)$"):
         ScalarField(g, bad)
 
 

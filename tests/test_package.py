@@ -51,6 +51,27 @@ def test_only_fields_makes_a_thread_pool():
     assert makers == ["fields.py"], makers
 
 
+def test_only_check_finite_scans_for_nan_and_inf():
+    # one NaN/Inf scan, one message format; math.isfinite on a scalar is fine
+    scans = []
+
+    def visit(node, path, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Attribute, ast.Name)):
+                name = getattr(child, "attr", getattr(child, "id", None))
+                owner = getattr(getattr(child, "value", None), "id", None)
+                if name == "isfinite" and owner != "math":
+                    scans.append(f"{path.name}:{fn}")
+            inner = (child.name if isinstance(child, (ast.FunctionDef,
+                                                      ast.AsyncFunctionDef))
+                     else fn)
+            visit(child, path, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, None)
+    assert scans == ["fields.py:check_finite"], scans
+
+
 def test_import_starts_no_thread():
     # the stencil's thread pool is made on first use, not at import
     code = ("import threading, rsflow, rsflow.cli\n"

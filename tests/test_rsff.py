@@ -1,6 +1,7 @@
 """RSFF binary container round trips and corruption handling."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,22 @@ def test_read_scans_the_values_once(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "isfinite", lambda a: calls.append(a.shape) or isfinite(a))
     rsff.read_field(path)
     assert calls == [g.dims] * 3
+
+
+def test_read_makes_no_second_copy_of_the_values(tmp_path):
+    # the components are views of the file's bytes, not converted copies
+    g = Grid.cube(3, 32)
+    path = tmp_path / "u.rsff"
+    rsff.write_field(path, VectorField(g, tuple(_random_field(g, s)
+                                                for s in range(3))))
+    tracemalloc.start()
+    try:
+        rsff.read_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's bytes once, plus one NaN/Inf scan's mask of 1 byte a value
+    assert peak < 1.5 * path.stat().st_size
 
 
 def test_bad_box_length_names_the_file(tmp_path):

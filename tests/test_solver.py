@@ -192,6 +192,27 @@ def test_self_steepening_abort():
             f"node {tuple(int(i) for i in node)}") in str(info.value)
 
 
+def test_step_abort_names_the_entry_time_and_node():
+    # NaN, not Inf: inf - inf in the stencils would warn
+    cfg = SolverConfig(mode="kinematic_tg", dims=(16, 16, 16))
+    state = init_state(cfg)
+    u3 = state.u3.copy()
+    u3[9, 4, 11] = np.nan
+    state = replace(state, u3=u3)
+    dt = 0.01
+    with pytest.raises(RuntimeError) as info:
+        step_rk4(state, cfg, dt)
+    # the stages spread the NaN along the stencils; the step names the
+    # first node in C order
+    y = rk4(lambda t, y: rhs(replace(state, u1=y[0], u2=y[1], u3=y[2],
+                                     rho=y[3], time=t), cfg),
+            [state.u1, state.u2, state.u3, state.rho], 0.0, dt)
+    assert not any(np.isnan(v).any() for v in (y[0], y[1], y[3]))
+    node = np.unravel_index(np.argmax(np.isnan(y[2])), u3.shape)
+    assert str(info.value) == (f"step to t=0.01: u3 = nan at node "
+                               f"{tuple(int(k) for k in node)}")
+
+
 # ----------------------------------------------------------------------
 # the slab-by-slab right-hand side
 # ----------------------------------------------------------------------
@@ -298,8 +319,10 @@ def test_steepness_is_reported_before_a_non_positive_density(
     rho = state.rho.copy()
     rho[50, 3, 7] = -0.5
     with pytest.raises(RuntimeError, match="self-steepening" if steep
-                       else r"density non-positive at t=0"):
+                       else r"density non-positive at t=0") as info:
         rhs(replace(state, rho=rho), cfg)
+    if not steep:
+        assert str(info.value).endswith(": rho = -0.5 at node (50, 3, 7)")
 
 
 def _rhs_in_child(state, cfg, expected, nested):

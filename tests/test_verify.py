@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rsflow import fields as fields_module
+from rsflow import rsff
 from rsflow.exterior import jacobian_minor, wedge
 from rsflow.fields import (Grid, Interpolator, VectorField, derivative,
                            lagrange4_taps, lagrange4_weights)
@@ -74,6 +75,17 @@ def test_history_from_rsff_keeps_steady_horizontal_flow(tmp_path):
     assert _snapshot_shapes(h) == {((16, 16), (16, 16), (16, 16, 16))}
     for c in (0, 1):
         assert all(np.array_equal(s[c], h.snapshots[0][c]) for s in h.snapshots)
+
+
+def test_history_from_rsff_snapshots_own_their_data(tmp_path):
+    # an RSFF read returns views of the file's bytes; a snapshot that held
+    # one would keep the whole file alive
+    g = Grid.cube(3, 8)
+    u = VectorField.from_arrays(g, [np.full(g.dims, 0.1 * c) for c in range(3)])
+    for i in range(4):
+        rsff.write_field(tmp_path / f"snap_{i:04d}.rsff", u, 0.5 * i)
+    h = VelocityHistory.from_rsff_dir(tmp_path)
+    assert all(v.flags.owndata for snap in h.snapshots for v in snap)
 
 
 def test_history_rejects_mixed_columnar_snapshots():
