@@ -94,9 +94,12 @@ def _shaped(grid, values):
 def check_finite(where: str, arrays, names=None, error=ValueError) -> None:
     """The package's one NaN/Inf scan: raise ``error`` at the first bad value
     as ``<where>: <name> = <value> at node <index>``, named by ``names`` or
-    u1, u2, ...; an empty ``where`` leaves out its prefix."""
+    u1, u2, ...; an empty ``where`` leaves out its prefix.  A broadcast
+    axis (stride 0) repeats one value, so only its index 0 is scanned."""
     for c, values in enumerate(arrays):
-        finite = np.isfinite(values)
+        values = np.asarray(values)
+        finite = np.isfinite(values[tuple(slice(0, 1) if s == 0 else slice(None)
+                                          for s in values.strides)])
         if not finite.all():
             node = np.unravel_index(np.argmin(finite), finite.shape)
             prefix = f"{where}: " if where else ""

@@ -211,8 +211,7 @@ def rhs(state: FlowState, cfg: SolverConfig):
 
     def slab(a, b):
         """Planes a..b-1 of du3 (and of drho, gp1, gp2 when free); returns
-        max and min of d3 u3 there, and the node of max |d3 u3| if it is
-        past the abort value."""
+        max |d3 u3| there, and its node if it is past the abort value."""
         own = u3[a:b]
         out = du3[a:b]
         u3_h, halo = with_halo(u3, a, b)
@@ -222,9 +221,9 @@ def rhs(state: FlowState, cfg: SolverConfig):
         out += tmp
         np.negative(out, out=out)
         d3u3 = derivative(u3_h, 2, h3[2], halo)
-        hi, lo = np.max(d3u3), np.min(d3u3)
+        steep = max(np.max(d3u3), -np.min(d3u3))
         node = None
-        if max(hi, -lo) > U3_GRADIENT_ABORT:
+        if steep > U3_GRADIENT_ABORT:
             i = np.unravel_index(np.argmax(np.abs(d3u3)), d3u3.shape)
             node = (a + int(i[0]), int(i[1]), int(i[2]))
         d3u3 *= own
@@ -243,14 +242,14 @@ def rhs(state: FlowState, cfg: SolverConfig):
             lap = _laplacian(u3_h, h3, halo)
             lap *= cfg.nu
             out += lap
-        return hi, lo, node
+        return steep, node
 
     parts = map_slabs(slab, u3.shape[0], u3[0].size)
-    his, los, _ = zip(*parts)
-    steep = float(max(np.max(his), -np.min(los)))
+    steeps = [steep for steep, _ in parts]
+    steep = float(np.max(steeps))
     if steep > U3_GRADIENT_ABORT:
         # the first slab holding the largest |d3 u3| names its first node
-        node = next(n for hi, lo, n in parts if max(hi, -lo) == steep)
+        node = parts[np.argmax(steeps)][1]
         raise RuntimeError(
             f"vertical self-steepening blew up: |d3 u3| = {steep:.3g} > "
             f"{U3_GRADIENT_ABORT:g} at t={state.time:.6g}, node {node}")
@@ -276,26 +275,6 @@ def rhs(state: FlowState, cfg: SolverConfig):
         du1 += cfg.nu * _laplacian(u1, h2)
         du2 += cfg.nu * _laplacian(u2, h2)
     return du1, du2, du3, drho
-
-
-def pressure_consistency_residual(state: FlowState, cfg: SolverConfig) -> float:
-    """Free mode: sup deviation of grad_h Pi from its vertical average."""
-    if cfg.mode != "free":
-        return 0.0
-    rho = state.rho
-    h3 = state.grid3.spacing
-
-    def slab(a, b):
-        """Max |dk Pi - its vertical mean| over planes a..b-1, k = 1, 2."""
-        rho_h, halo = with_halo(rho, a, b)
-        pi = cfg.c ** 2 * np.log(rho_h)
-        gps = (derivative(pi, 0, h3[0], halo), derivative(pi, 1, h3[1], halo))
-        return [np.max(np.abs(gp - gp.mean(axis=2)[:, :, None])) for gp in gps]
-
-    worst = 0.0
-    for part in zip(*map_slabs(slab, rho.shape[0], rho[0].size)):
-        worst = max(worst, float(np.max(part)))
-    return worst
 
 
 # ----------------------------------------------------------------------
@@ -387,28 +366,41 @@ def assemble_velocity(state: FlowState) -> VectorField:
 
 
 def diagnostics(state: FlowState, cfg: SolverConfig) -> dict:
-    """Energy, mass, extremes and the two consistency deviations.  The
-    3D passes run one x1-slab at a time (:func:`map_slabs`): the energy
+    """Energy, mass, extremes and the two consistency deviations (of the
+    RSF zeros, and in free mode max |dk Pi - its vertical mean|, k = 1, 2).
+    The 3D passes run one x1-slab at a time (:func:`map_slabs`): the energy
     integrand is written slab by slab into one array and summed by one
-    ``np.sum``, and the maxima are maxima of per-slab maxima, so every
-    value is the whole-grid one, bit for bit."""
+    ``np.sum``, and each maximum is one ``np.max`` of per-slab maxima, so
+    every value is the whole-grid one, bit for bit, and a NaN stays."""
     g3 = state.grid3
     u1, u2, u3, rho = state.u1, state.u2, state.u3, state.rho
     rho3 = rho if rho.ndim == 3 else rho[:, :, None]
+    free = cfg.mode == "free"
     vel = assemble_velocity(state)
     integrand = np.empty(g3.dims)
 
     def slab(a, b):
-        """Planes a..b-1 of rho |u|^2; returns max |u3| there."""
+        """Planes a..b-1 of rho |u|^2; returns max |u3| there and, when
+        free, the two pressure residuals."""
         e = integrand[a:b]
         np.square(u3[a:b], out=e)
         horizontal = u1[a:b] ** 2
         horizontal += u2[a:b] ** 2
         e += horizontal[:, :, None]
         e *= rho3[a:b]
-        return np.max(np.abs(u3[a:b]))
+        maxima = [np.max(np.abs(u3[a:b]))]
+        if free:
+            rho_h, halo = with_halo(rho, a, b)
+            pi = cfg.c ** 2 * np.log(rho_h)
+            for k in (0, 1):
+                gp = derivative(pi, k, g3.spacing[k], halo)
+                gp -= gp.mean(axis=2)[:, :, None]
+                maxima.append(np.max(np.abs(gp)))
+        return maxima
 
-    u3max = np.max(map_slabs(slab, g3.dims[0], g3.npoints // g3.dims[0]))
+    maxima = np.array(map_slabs(slab, g3.dims[0], g3.npoints // g3.dims[0]))
+    u3max = np.max(maxima[:, 0])
+    residual = float(np.max(maxima[:, 1:])) if free else 0.0
     dv = g3.cell_volume
     energy = 0.5 * dv * float(np.sum(integrand))
     if rho.ndim == 2:
@@ -420,7 +412,7 @@ def diagnostics(state: FlowState, cfg: SolverConfig) -> dict:
             "rho_min": float(np.min(rho)),
             "rho_max": float(np.max(rho)), "umax": umax,
             "rsf_dev": check_rsf(vel, zero_pattern(3)),
-            "pressure_residual": pressure_consistency_residual(state, cfg)}
+            "pressure_residual": residual}
 
 
 @dataclass

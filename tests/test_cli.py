@@ -137,6 +137,20 @@ def test_check_rsf_on_simulated_snapshot(sim_outdir, capsys):
     assert "rsf_violation=" in capsys.readouterr().out
 
 
+def test_check_rsf_fails_a_nan_deviation(tmp_path, capsys):
+    # finite values whose x3 differences overflow, so the stencil meets
+    # inf - inf: a NaN deviation must fail, not read as zero
+    a = 1.5e308
+    g = Grid.cube(3, 16)
+    u1 = np.broadcast_to(np.tile([-a, -a, -a, a, a, a, a, -a], 2), g.dims)
+    path = tmp_path / "overflow.rsff"
+    rsff.write_field(path, VectorField.from_arrays(
+        g, [u1, np.zeros(g.dims), np.zeros(g.dims)]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["check-rsf", "--field", str(path)]) == 1
+    assert capsys.readouterr().out == "rsf_violation=nan\n"
+
+
 def test_slice_image_from_snapshot(sim_outdir, tmp_path):
     snap = sorted(sim_outdir.glob("snap_*.rsff"))[0]
     out = tmp_path / "u3.ppm"

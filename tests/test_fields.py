@@ -10,9 +10,10 @@ import pytest
 
 from rsflow import fields as fields_module
 from rsflow.fields import (HALO, Grid, Interpolator, ScalarField, VectorField,
-                           derivative, divergence, gradient_tensor, interpolate,
-                           lagrange4_taps, partial_derivative, restrict,
-                           second_derivative, taylor_green_2d, with_halo)
+                           check_finite, derivative, divergence,
+                           gradient_tensor, interpolate, lagrange4_taps,
+                           partial_derivative, restrict, second_derivative,
+                           taylor_green_2d, with_halo)
 from rsflow.trig import TrigPoly
 
 
@@ -281,6 +282,35 @@ def test_scalarfield_rejects_nan():
     bad[3] = np.nan
     with pytest.raises(ValueError, match=r"^field = nan at node \(3,\)$"):
         ScalarField(g, bad)
+
+
+@pytest.mark.parametrize("axis, node", [(0, (0, 2, 3)), (1, (2, 0, 3)),
+                                        (2, (2, 3, 0))])
+def test_check_finite_names_the_same_node_in_a_broadcast_view(axis, node):
+    u = np.ones((6, 5))
+    u[4, 1] = np.inf
+    u[2, 3] = np.nan
+    shape = u.shape[:axis] + (4,) + u.shape[axis:]
+    view = np.broadcast_to(np.expand_dims(u, axis), shape)
+    messages = []
+    for values in (view, np.array(view)):
+        with pytest.raises(ValueError) as info:
+            check_finite("snap", [np.ones(shape), values])
+        messages.append(str(info.value))
+    assert messages == [f"snap: u2 = nan at node {node}"] * 2
+
+
+def test_check_finite_scans_a_broadcast_view_in_its_stored_values():
+    # a 2D u1 broadcast along x3, as every simulate snapshot passes it
+    u = np.random.default_rng(4).normal(size=(64, 64))
+    values = np.broadcast_to(u[:, :, None], (64, 64, 256))
+    tracemalloc.start()
+    try:
+        check_finite("", [values])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * u.nbytes
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rsflow.exterior import form_from_velocity
 from rsflow.fields import Grid, ScalarField, VectorField, gradient_tensor
-from rsflow.rsf import (canonical_antisymmetric, check_rsf,
+from rsflow.rsf import (ZeroPattern, canonical_antisymmetric, check_rsf,
                         component_velocity_forms, component_vorticities,
                         decomposition_plan, sym_antisym_split,
                         zero_pattern)
@@ -108,6 +108,7 @@ def test_check_rsf_flags_generic_field():
     u = VectorField(g3, tuple(_sample(TrigPoly.random(3, 2, rng), g3)
                               for _ in range(3)))
     assert check_rsf(u, zero_pattern(3)) > 0.1
+    assert check_rsf(u, ZeroPattern(3, frozenset())) == 0.0  # nothing required
 
 
 def test_check_rsf_dimension_mismatch():

@@ -530,6 +530,28 @@ def test_frozen_in_errors_reports_flowmap_health(short_kinematic_history):
     assert health["det_max"] == np.max(det)
 
 
+@pytest.mark.parametrize("mode", ["constrained", "free"])
+def test_frozen_in_law_on_the_solvers_own_flows(mode):
+    # kinematic_history's config in a barotropic mode: a constrained run
+    # is an RSF Euler flow, so both component vorticities are frozen in
+    # at the stencil's order (3.72 and 3.76 measured); a free run feeds
+    # the horizontal momentum only the vertical mean of grad_h Pi, which
+    # leaves omega_h frozen in (3.76) but not omega_rest (0.885, 0.886)
+    errors = {"omega_h": [], "omega_rest": []}
+    for n in (16, 32):
+        cfg = SolverConfig(mode=mode, dims=(n, n, n), t_end=1.0,
+                           snapshot_stride=2, seed=11, kmax=1, amplitude=0.3)
+        h = VelocityHistory.from_result(run_simulation(cfg))
+        case = frozen_in_errors(h, h)
+        for name, errs in errors.items():
+            errs.append(case[name]["l2_normalized"])
+    assert fit_order([16, 32], errors["omega_h"]) >= 3.5
+    if mode == "constrained":
+        assert fit_order([16, 32], errors["omega_rest"]) >= 3.5
+    else:
+        assert min(errors["omega_rest"]) >= 0.1
+
+
 def test_residual_pde_linearity(short_kinematic_history):
     h = short_kinematic_history
     plan = decomposition_plan(3)
