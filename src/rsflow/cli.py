@@ -77,8 +77,7 @@ def _cmd_verify_frozen(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
-    dims = args.d if args.d else list(range(3, 9))
-    worst = identity_suite(dims=dims, seeds=args.seeds)
+    worst = identity_suite(dims=args.d, seeds=args.seeds)
     if args.inject_violation:
         worst["lemma1_negative_control"] = lemma1_check(4, 2, 0, violate=True)
     ok = True
@@ -191,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_verify_frozen)
 
     sp = sub.add_parser("verify-identities", help="closed-form identity suite")
-    sp.add_argument("--d", type=int, nargs="*")
+    sp.add_argument("--d", type=int, nargs="+", default=list(range(3, 9)))
     sp.add_argument("--seeds", type=int, default=20)
     sp.add_argument("--tol", type=float, default=1e-12)
     sp.add_argument("--inject-violation", action="store_true")

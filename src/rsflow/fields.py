@@ -284,62 +284,50 @@ def with_halo(values, a: int, b: int) -> tuple:
     return values[np.arange(a - HALO, b + HALO) % n], HALO
 
 
-def _pair(op, values, axis: int, k: int, out, other=None) -> None:
-    """``out[i] = op(values[i + p + k], values[i + p - k])`` along
-    ``axis`` (``op(values[i + p], other)`` for ``k = 0``), where ``values``
-    carries ``p`` halo planes at each end, as many as it has more than
-    ``out``.  With a halo (``p >= k``) no index wraps; without one
-    (``p = 0``) the indices are periodic: the interior and the two wrapped
-    edges, three slices each.  Along the last axis of C-contiguous arrays
-    the interior is one contiguous pass over all lines at once, which
-    also writes the ``k`` edge nodes at each end of a line from the
-    neighbouring line; the two edge passes then rewrite them."""
+def _pair(values, axis: int, k: int, out) -> None:
+    """``out[i] = values[i + p + k] - values[i + p - k]`` along ``axis``,
+    where ``values`` carries ``p`` halo planes at each end, as many as it
+    has more than ``out``.  With a halo (``p >= k``) no index wraps;
+    without one (``p = 0``) the indices are periodic: the interior and the
+    two wrapped edges, three slices each.  Along the last axis of
+    C-contiguous arrays the interior is one contiguous pass over all lines
+    at once, which also writes the ``k`` edge nodes at each end of a line
+    from the neighbouring line; the two edge passes then rewrite them."""
     n = out.shape[axis]
     p = (values.shape[axis] - n) // 2
 
     def sl(a, b):
         return (slice(None),) * axis + (slice(a, b),)
 
-    if not k:
-        op(values[sl(p, p + n)], other, out=out)
-    elif p:
-        op(values[sl(p + k, p + k + n)], values[sl(p - k, p - k + n)], out=out)
+    if p:
+        np.subtract(values[sl(p + k, p + k + n)],
+                    values[sl(p - k, p - k + n)], out=out)
     else:
         if (axis == values.ndim - 1 and values.flags.c_contiguous
                 and out.flags.c_contiguous):
             flat = values.reshape(-1)
-            op(flat[2 * k:], flat[:flat.size - 2 * k],
-               out=out.reshape(-1)[k:out.size - k])
+            np.subtract(flat[2 * k:], flat[:flat.size - 2 * k],
+                        out=out.reshape(-1)[k:out.size - k])
         else:
-            op(values[sl(2 * k, n)], values[sl(0, n - 2 * k)],
-               out=out[sl(k, n - k)])
-        op(values[sl(k, 2 * k)], values[sl(n - k, n)], out=out[sl(0, k)])
-        op(values[sl(0, k)], values[sl(n - 2 * k, n - k)],
-           out=out[sl(n - k, n)])
+            np.subtract(values[sl(2 * k, n)], values[sl(0, n - 2 * k)],
+                        out=out[sl(k, n - k)])
+        np.subtract(values[sl(k, 2 * k)], values[sl(n - k, n)],
+                    out=out[sl(0, k)])
+        np.subtract(values[sl(0, k)], values[sl(n - 2 * k, n - k)],
+                    out=out[sl(n - k, n)])
 
 
-def _first(values, axis, scale, out, tmp):
-    _pair(np.subtract, values, axis, 1, out)
-    out *= 8.0
-    _pair(np.subtract, values, axis, 2, tmp)
-    out -= tmp
-    out /= scale
+def derivative(values, axis: int, h: float, halo: int = 0) -> np.ndarray:
+    """4th-order centered periodic first derivative of an array along ``axis``:
+    ``(8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / 12h``, formed in that
+    order into a fresh array, one x1-slab at a time (:func:`map_slabs`).
+    The symmetric pairs come first, so an array constant along ``axis``
+    (a broadcast view included) differentiates to exactly 0 there: the
+    RSF zero pattern holds without rounding noise.
 
-
-def _second(values, axis, scale, out, tmp):
-    _pair(np.add, values, axis, 1, out)
-    out *= 16.0
-    _pair(np.add, values, axis, 2, tmp)
-    out -= tmp
-    _pair(np.multiply, values, axis, 0, tmp, 30.0)
-    out -= tmp
-    out /= scale
-
-
-def _stencil(kernel, values, axis: int, scale: float, halo: int = 0) -> np.ndarray:
-    """Run ``kernel`` along ``axis`` into a fresh array, in x1-slabs for
-    large arrays.  ``halo`` planes at each end of axis 0, whatever ``axis``
-    is, are left out of the result; only an axis-0 stencil reads them."""
+    With ``halo`` > 0 the array carries that many extra planes at each
+    end of axis 0, whatever ``axis`` is (as :func:`with_halo` gives them):
+    the result leaves them out, and only an axis-0 stencil reads them."""
     values = np.asarray(values)
     axis = range(values.ndim)[axis]
     if 0 < halo < HALO:
@@ -360,31 +348,15 @@ def _stencil(kernel, values, axis: int, scale: float, halo: int = 0) -> np.ndarr
             src = values[a:b + 2 * halo]
         else:
             src, _ = with_halo(values, a, b)
-        kernel(src, axis, scale, out[a:b], np.empty_like(out[a:b]))
+        dst, tmp = out[a:b], np.empty_like(out[a:b])
+        _pair(src, axis, 1, dst)
+        dst *= 8.0
+        _pair(src, axis, 2, tmp)
+        dst -= tmp
+        dst /= 12.0 * h
 
     map_slabs(slab, n, out.size // n)
     return out
-
-
-# Both stencils combine neighbours in symmetric pairs first, so an array
-# that is constant along ``axis`` (a broadcast view included) differentiates
-# to exactly 0 there: the RSF zero pattern holds without rounding noise.
-
-def derivative(values, axis: int, h: float, halo: int = 0) -> np.ndarray:
-    """4th-order centered periodic first derivative of an array along ``axis``:
-    ``(8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / 12h``.
-
-    With ``halo`` > 0 the array carries that many extra planes at each
-    end of axis 0, whatever ``axis`` is (as :func:`with_halo` gives them):
-    the result leaves them out, and only an axis-0 stencil reads them."""
-    return _stencil(_first, values, axis, 12.0 * h, halo)
-
-
-def second_derivative(values, axis: int, h: float, halo: int = 0) -> np.ndarray:
-    """4th-order centered periodic second derivative of an array along ``axis``:
-    ``(16 (f[i+1] + f[i-1]) - (f[i+2] + f[i-2]) - 30 f[i]) / 12h^2``,
-    with ``halo`` planes along axis 0 as in :func:`derivative`."""
-    return _stencil(_second, values, axis, 12.0 * h * h, halo)
 
 
 def partial_derivative(f: ScalarField, axis: int) -> ScalarField:

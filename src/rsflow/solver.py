@@ -1,4 +1,7 @@
-"""Barotropic real-Schur-flow time integration in a periodic 3D box.
+"""Ideal barotropic real-Schur-flow time integration in a periodic 3D box.
+
+The flow is inviscid: the Lie-invariance theorem rsflow checks is stated
+for ideal flows.
 
 The horizontal velocity lives on a 2D grid (so the RSF zero pattern
 holds exactly by construction) while the third component is fully 3D.
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import rsff
 from .fields import (Grid, VectorField, check_finite, derivative, map_slabs,
-                     second_derivative, taylor_green_2d, with_halo)
+                     taylor_green_2d, with_halo)
 from .rsf import check_rsf, zero_pattern
 from .trig import TrigPoly
 
@@ -46,7 +49,6 @@ U3_GRADIENT_ABORT = 20.0  # max |d3 u3| before self-steepening counts as blown u
 class SolverConfig:
     mode: str = "constrained"
     c: float = 1.0
-    nu: float = 0.0
     cfl: float = 0.4
     t_end: float = 1.0
     snapshot_stride: int = 1
@@ -66,8 +68,6 @@ class SolverConfig:
             raise ValueError("sound speed must be positive")
         if not 0 < self.cfl < 1:
             raise ValueError("cfl must be in (0, 1)")
-        if self.nu < 0:
-            raise ValueError("viscosity must be >= 0")
         if self.t_end <= 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.amplitude < 0:
@@ -94,9 +94,11 @@ def _parse_value(default, text: str):
 
 
 def parse_config(text: str) -> SolverConfig:
-    """Flat key=value config over SolverConfig's fields; unknown keys are rejected."""
+    """Flat key=value config over SolverConfig's fields; an unknown or
+    repeated key, or a value not of its field's type, is rejected with
+    its line."""
     defaults = {f.name: f.default for f in fields(SolverConfig)}
-    kw = {}
+    kw, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -106,7 +108,14 @@ def parse_config(text: str) -> SolverConfig:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in defaults:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        kw[key] = _parse_value(defaults[key], val)
+        if key in lines:
+            raise ValueError(f"config line {lineno}: key {key!r} already "
+                             f"set on line {lines[key]}")
+        lines[key] = lineno
+        try:
+            kw[key] = _parse_value(defaults[key], val)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {key}: {exc}") from None
     return SolverConfig(**kw)
 
 
@@ -131,16 +140,6 @@ class FlowState:
     u3: np.ndarray
     rho: np.ndarray  # 2D in constrained/kinematic mode, 3D in free mode
     time: float = 0.0
-
-
-def _laplacian(v, spacing, halo: int = 0):
-    """Sum of the second derivatives of ``v`` along every axis, added up
-    from 0; ``v`` carries ``halo`` planes at each end of axis 0 (as
-    :func:`with_halo` gives them)."""
-    out = np.zeros((v.shape[0] - 2 * halo,) + v.shape[1:])
-    for a in range(v.ndim):
-        out += second_derivative(v, a, spacing[a], halo)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +201,6 @@ def rhs(state: FlowState, cfg: SolverConfig):
     # after them: a too steep u3 is reported first
     positive = kinematic or not np.min(rho) <= 0.0
     free = cfg.mode == "free" and positive
-    viscous = cfg.nu > 0 and not kinematic
     du3 = np.empty(u3.shape)
     if free:
         drho = np.empty(u3.shape)
@@ -238,10 +236,6 @@ def rhs(state: FlowState, cfg: SolverConfig):
             flux += derivative(rho[a:b] * u2b[a:b], 1, h3[1])
             flux += derivative(rho[a:b] * own, 2, h3[2])
             np.negative(flux, out=drho[a:b])
-        if viscous:
-            lap = _laplacian(u3_h, h3, halo)
-            lap *= cfg.nu
-            out += lap
         return steep, node
 
     parts = map_slabs(slab, u3.shape[0], u3[0].size)
@@ -271,9 +265,6 @@ def rhs(state: FlowState, cfg: SolverConfig):
             + u2 * derivative(u1, 1, h2[1])) - gp1
     du2 = -(u1 * derivative(u2, 0, h2[0])
             + u2 * derivative(u2, 1, h2[1])) - gp2
-    if viscous:
-        du1 += cfg.nu * _laplacian(u1, h2)
-        du2 += cfg.nu * _laplacian(u2, h2)
     return du1, du2, du3, drho
 
 

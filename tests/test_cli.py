@@ -45,6 +45,15 @@ def test_verify_identities_rejects_no_seeds(seeds, capsys):
     assert cap.err == f"error: identity suite needs seeds >= 1, got {seeds}\n"
 
 
+def test_verify_identities_rejects_d_without_values(capsys):
+    # an empty --d is an argparse error, not the default battery
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-identities", "--d", "--seeds", "1"])
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "--d: expected at least one argument" in cap.err
+
+
 def test_verify_identities_rejects_dimension_before_any_work(capsys):
     assert main(["verify-identities", "--d", "3", "13", "--seeds", "1"]) == 2
     cap = capsys.readouterr()
@@ -296,10 +305,26 @@ def test_verify_frozen_rejects_bad_resolution_sets(resolutions, message, capsys)
 
 def test_simulate_rejects_bad_config_values(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("mode=constrained\ndims=16,16,8\nt_end=-1\n")
-    assert main(["simulate", "--config", str(cfg),
-                 "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: t_end must be positive, got -1.0\n"
+    for text, message in [
+            ("mode=constrained\ndims=16,16,8\nt_end=-1\n",
+             "t_end must be positive, got -1.0"),
+            ("mode=constrained\nseed=1.5\n",
+             "config line 2: seed: invalid literal for int() with base 10: "
+             "'1.5'"),
+            ("dims=64,x,64\n",
+             "config line 1: dims: invalid literal for int() with base 10: "
+             "'x'"),
+            ("c=abc\n",
+             "config line 1: c: could not convert string to float: 'abc'"),
+            ("seed=1\nt_end=0.1\nseed=2\n",
+             "config line 3: key 'seed' already set on line 1"),
+            # the solver is inviscid
+            ("mode=constrained\nnu=0.01\n",
+             "config line 2: unknown key 'nu'")]:
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # header offsets of a 3D RSFF file: length at 28, time at 52, values at 60

@@ -12,8 +12,8 @@ from rsflow import fields as fields_module
 from rsflow.fields import (HALO, Grid, Interpolator, ScalarField, VectorField,
                            check_finite, derivative, divergence,
                            gradient_tensor, interpolate, lagrange4_taps,
-                           partial_derivative, restrict, second_derivative,
-                           taylor_green_2d, with_halo)
+                           partial_derivative, restrict, taylor_green_2d,
+                           with_halo)
 from rsflow.trig import TrigPoly
 
 
@@ -71,19 +71,7 @@ def test_derivative_fourth_order_convergence():
     assert 14.0 < ratio < 18.0  # 2^4 = 16 for a 4th-order stencil
 
 
-def test_second_derivative_fourth_order_convergence():
-    f = TrigPoly.sin(1, (3,))
-    exact = f.diff(0).diff(0)
-    errs = []
-    for n in (32, 64):
-        g = Grid((n,))
-        num = second_derivative(_sample(f, g).values, 0, g.spacing[0])
-        errs.append(np.max(np.abs(num - _sample(exact, g).values)))
-    ratio = errs[0] / errs[1]
-    assert 14.0 < ratio < 18.0  # 2^4 = 16 for a 4th-order stencil
-
-
-@pytest.mark.parametrize("stencil", [derivative, second_derivative])
+@pytest.mark.parametrize("stencil", [derivative])
 def test_stencil_of_axis_constant_array_is_exactly_zero(stencil):
     rng = np.random.default_rng(3)
     plane = rng.normal(size=(12, 10))
@@ -98,14 +86,7 @@ def _rolled_derivative(values, axis, h):
     return (8.0 * (s(1) - s(-1)) - (s(2) - s(-2))) / (12.0 * h)
 
 
-def _rolled_second_derivative(values, axis, h):
-    s = lambda k: np.roll(values, -k, axis)  # noqa: E731
-    return (16.0 * (s(1) + s(-1)) - (s(2) + s(-2)) - 30.0 * values) / (12.0 * h * h)
-
-
-@pytest.mark.parametrize("stencil, rolled", [
-    (derivative, _rolled_derivative),
-    (second_derivative, _rolled_second_derivative)])
+@pytest.mark.parametrize("stencil, rolled", [(derivative, _rolled_derivative)])
 @pytest.mark.parametrize("shape", [(8, 8), (9, 13), (8, 11, 9), (96, 90, 64)])
 def test_stencil_is_bit_identical_to_rolled_formula(stencil, rolled, shape,
                                                     monkeypatch):
@@ -127,33 +108,24 @@ def test_stencil_is_bit_identical_to_rolled_formula(stencil, rolled, shape,
             check()
 
 
-def _three_slice_pair(op, values, k, other=None):
-    """The stencil's pair op along the last axis as three slices: the
-    interior and the two wrapped edges."""
+def _three_slice_pair(values, k):
+    """The stencil's pair difference along the last axis as three slices:
+    the interior and the two wrapped edges."""
     n = values.shape[-1]
     out = np.empty(values.shape)
-    if not k:
-        return op(values, other, out=out)
-    op(values[..., 2 * k:], values[..., :n - 2 * k], out=out[..., k:n - k])
-    op(values[..., k:2 * k], values[..., n - k:], out=out[..., :k])
-    op(values[..., :k], values[..., n - 2 * k:n - k], out=out[..., n - k:])
+    np.subtract(values[..., 2 * k:], values[..., :n - 2 * k],
+                out=out[..., k:n - k])
+    np.subtract(values[..., k:2 * k], values[..., n - k:], out=out[..., :k])
+    np.subtract(values[..., :k], values[..., n - 2 * k:n - k],
+                out=out[..., n - k:])
     return out
 
 
 def _three_slice_derivative(values, h):
-    out = _three_slice_pair(np.subtract, values, 1)
+    out = _three_slice_pair(values, 1)
     out *= 8.0
-    out -= _three_slice_pair(np.subtract, values, 2)
+    out -= _three_slice_pair(values, 2)
     out /= 12.0 * h
-    return out
-
-
-def _three_slice_second_derivative(values, h):
-    out = _three_slice_pair(np.add, values, 1)
-    out *= 16.0
-    out -= _three_slice_pair(np.add, values, 2)
-    out -= _three_slice_pair(np.multiply, values, 0, 30.0)
-    out /= 12.0 * h * h
     return out
 
 
@@ -173,10 +145,8 @@ def _last_axis_cases():
     }
 
 
-@pytest.mark.parametrize("stencil, reference", [
-    (derivative, _three_slice_derivative),
-    (second_derivative, _three_slice_second_derivative)],
-    ids=["first", "second"])
+@pytest.mark.parametrize("stencil, reference",
+                         [(derivative, _three_slice_derivative)], ids=["first"])
 @pytest.mark.parametrize("case", list(_last_axis_cases()))
 def test_last_axis_pass_is_the_three_slice_stencil(stencil, reference, case,
                                                    monkeypatch):
@@ -215,20 +185,18 @@ def test_slab_stencil_runs_in_a_forked_child():
 
 
 # slabs (a, b) of 12 planes; (0, 1), (0, 3) and (10, 12) wrap their halo.
-# ids are "a-b", prefixed by stencil and axis but for the x1 first derivative
-@pytest.mark.parametrize("stencil, axis, a, b", [
-    pytest.param(stencil, axis, a, b,
-                 id=f"{a}-{b}" if (stencil, axis) == (derivative, 0)
-                 else f"{stencil.__name__}-{axis}-{a}-{b}")
-    for stencil in (derivative, second_derivative) for axis in range(3)
+# ids are "a-b", prefixed by "derivative-<axis>" but for axis 0
+@pytest.mark.parametrize("axis, a, b", [
+    pytest.param(axis, a, b,
+                 id=f"{a}-{b}" if axis == 0 else f"derivative-{axis}-{a}-{b}")
+    for axis in range(3)
     for a, b in ((0, 1), (0, 3), (5, 9), (10, 12), (0, 12))])
-def test_derivative_with_halo_is_the_periodic_one_on_its_planes(stencil, axis,
-                                                                a, b):
+def test_derivative_with_halo_is_the_periodic_one_on_its_planes(axis, a, b):
     v = np.random.default_rng(9).normal(size=(12, 9, 8))
     planes, halo = with_halo(v, a, b)
     assert halo == (0 if (a, b) == (0, 12) else HALO)
-    got = stencil(planes, axis, 0.37, halo)
-    assert np.array_equal(got, stencil(v, axis, 0.37)[a:b])
+    got = derivative(planes, axis, 0.37, halo)
+    assert np.array_equal(got, derivative(v, axis, 0.37)[a:b])
 
 
 def test_with_halo_copies_only_the_planes_it_returns():

@@ -15,7 +15,7 @@ import pytest
 from rsflow import fields as fields_module
 from rsflow import rsf as rsf_module
 from rsflow import solver as solver_module
-from rsflow.fields import Grid, VectorField, derivative, second_derivative
+from rsflow.fields import Grid, VectorField, derivative
 from rsflow.rsf import ZeroPattern, check_rsf, zero_pattern
 from rsflow.solver import (SolverConfig, assemble_velocity, cfl_dt,
                            diagnostics, format_config, init_state,
@@ -42,9 +42,12 @@ def test_config_parse_comments_and_blanks():
 
 
 def test_config_rejects_unknown_key():
-    # the box is 2 pi periodic: the initial data are 2 pi periodic TrigPolys
-    for text in ("speed=1.0", "length=3.0"):
-        with pytest.raises(ValueError, match="unknown key"):
+    # the box is 2 pi periodic (the initial data are 2 pi periodic
+    # TrigPolys), and the solver is inviscid
+    for text in ("speed=1.0", "length=3.0", "nu=0.01"):
+        key = text.split("=")[0]
+        with pytest.raises(ValueError,
+                           match=f"^config line 1: unknown key '{key}'$"):
             parse_config(text)
 
 
@@ -54,11 +57,10 @@ def test_config_rejects_missing_equals():
 
 
 @pytest.mark.parametrize("kw", [dict(mode="implicit"), dict(c=-1.0),
-                                dict(cfl=1.5), dict(nu=-0.1),
-                                dict(dims=(16, 16)), dict(t_end=-1.0),
-                                dict(t_end=0.0), dict(t_end=np.inf),
-                                dict(c=np.inf), dict(c=np.nan),
-                                dict(amplitude=np.nan), dict(nu=np.nan),
+                                dict(cfl=1.5), dict(dims=(16, 16)),
+                                dict(t_end=-1.0), dict(t_end=0.0),
+                                dict(t_end=np.inf), dict(c=np.inf),
+                                dict(c=np.nan), dict(amplitude=np.nan),
                                 dict(cfl=np.nan), dict(amplitude=-0.1),
                                 dict(snapshot_stride=0), dict(kmax=0),
                                 dict(seed=-1)])
@@ -246,12 +248,6 @@ def _unfused_rhs(state, cfg):
                  + derivative(rho * u3, 2, h3[2]))
     du1 = -(u1 * derivative(u1, 0, h2[0]) + u2 * derivative(u1, 1, h2[1])) - gp1
     du2 = -(u1 * derivative(u2, 0, h2[0]) + u2 * derivative(u2, 1, h2[1])) - gp2
-    if cfg.nu > 0:
-        lap = [sum(second_derivative(v, a, h[a]) for a in range(v.ndim))
-               for v, h in ((u1, h2), (u2, h2), (u3, h3))]
-        du1 += cfg.nu * lap[0]
-        du2 += cfg.nu * lap[1]
-        du3 += cfg.nu * lap[2]
     return du1, du2, du3, drho
 
 
@@ -275,12 +271,10 @@ def test_pool_grid_is_cut_into_uneven_slabs():
 
 
 @pytest.mark.parametrize("mode", ["constrained", "free", "kinematic_tg"])
-@pytest.mark.parametrize("dims, nu", [((16, 16, 16), 0.0),
-                                      ((16, 16, 16), 0.02),
-                                      (POOL_DIMS, 0.0), (POOL_DIMS, 0.02)])
-def test_rhs_is_bit_identical_to_whole_grid_passes(mode, dims, nu,
+@pytest.mark.parametrize("dims", [(16, 16, 16), POOL_DIMS])
+def test_rhs_is_bit_identical_to_whole_grid_passes(mode, dims,
                                                    three_slab_threads):
-    cfg = SolverConfig(mode=mode, dims=dims, nu=nu, seed=3)
+    cfg = SolverConfig(mode=mode, dims=dims, seed=3)
     state = init_state(cfg)
     assert _same(rhs(state, cfg), _unfused_rhs(state, cfg))
 
@@ -526,7 +520,7 @@ def test_slab_jobs_call_no_traced_function(three_slab_threads, monkeypatch):
         monkeypatch.setattr(module, "derivative", spy)
     with ThreadRecorder().installed():
         for mode in ("constrained", "free"):
-            cfg = SolverConfig(mode=mode, dims=POOL_DIMS, seed=5, nu=0.01)
+            cfg = SolverConfig(mode=mode, dims=POOL_DIMS, seed=5)
             state = init_state(cfg)
             solver_module.step_rk4(state, cfg, 0.01)
             solver_module.diagnostics(state, cfg)
@@ -536,24 +530,6 @@ def test_slab_jobs_call_no_traced_function(three_slab_threads, monkeypatch):
             "rsf.check_rsf"} <= set(seen)
     for name, threads in seen.items():
         assert threads == {me}, name
-
-
-def test_viscous_term_damps_a_single_mode():
-    # u3 = sin x1 alone: advection vanishes, so du3 is nu times the
-    # 4th-order Laplacian of u3, which is -u3 up to h^4 / 90
-    nu = 0.05
-    cfg = SolverConfig(mode="constrained", nu=nu, dims=(16, 8, 8))
-    state = init_state(cfg)
-    x1 = state.grid3.axis_coords(0)[:, None, None]
-    state = replace(state, u1=np.zeros(state.grid2.dims),
-                    u2=np.zeros(state.grid2.dims),
-                    u3=np.sin(x1) * np.ones(state.grid3.dims),
-                    rho=np.ones(state.grid2.dims))
-    du1, du2, du3, drho = rhs(state, cfg)
-    assert not np.any(du1) and not np.any(du2) and not np.any(drho)
-    h = state.grid3.spacing[0]
-    err = np.max(np.abs(du3 + nu * state.u3))
-    assert 0 < err <= nu * h ** 4 / 90 * 1.01
 
 
 def test_diagnostics_energy_positive():
