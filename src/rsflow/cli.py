@@ -93,7 +93,10 @@ def _cmd_verify_identities(args) -> int:
 
 def _cmd_canonical(args) -> int:
     if args.matrix:
-        a = np.asarray(json.loads(Path(args.matrix).read_text()), dtype=float)
+        try:
+            a = np.asarray(json.loads(Path(args.matrix).read_text()), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{args.matrix}: not a matrix of numbers: {exc}") from None
     else:
         d = args.d
         if d < 1:

@@ -142,66 +142,37 @@ class CanonicalRotation:
                            "Q": self.q.ravel().tolist()})
 
 
-def _orthogonalize(vec, basis):
-    for b in basis:
-        vec = vec - (b @ vec) * b
-    nrm = np.linalg.norm(vec)
-    return vec / nrm if nrm > 1e-12 else None
+def _form_tol(a) -> float:
+    """Zero-rate tolerance, also the bound of the block-form check."""
+    return 1e-10 * max(1.0, np.max(np.abs(a)))
 
 
 def canonical_antisymmetric(a: np.ndarray) -> CanonicalRotation:
     """Orthogonal congruence of an antisymmetric matrix to rotation blocks.
 
-    Eigen-decomposes the symmetric A^T A with ``np.linalg.eigh``; paired
-    eigenvalues theta^2 identify the rotation planes.  Plane bases are fixed
-    deterministically (Gram-Schmidt in eigenvector order) with orientation
-    chosen so each block carries +theta below the diagonal.  Rates are sorted descending;
-    zero rates fill the remaining floor(d/2) slots.
+    One ``np.linalg.eigh`` of the Hermitian iA, whose eigenvalues are
+    +-theta: an eigenvector x + iy of a rate theta > 0 gives the plane
+    (sqrt(2) x, sqrt(2) y), with A x = theta y, so each block carries
+    +theta below the diagonal.  One complete QR, sign-fixed by diag(R),
+    orthonormalizes the planes and gives the kernel basis.  Rates are
+    descending; one at or below 1e-10 max(1, max|A|), the bound of the
+    block-form check, is zero and fills one of the floor(d/2) slots.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square 2-D, got shape {a.shape}")
     check_finite("", [a], ["matrix"])
     n = a.shape[0]
-    norm = max(np.linalg.norm(a), 1.0)
-    if np.max(np.abs(a + a.T)) > 1e-12 * norm:
+    if np.max(np.abs(a + a.T)) > 1e-12 * max(np.linalg.norm(a), 1.0):
         raise ValueError("matrix is not antisymmetric")
-    w, v = np.linalg.eigh(a.T @ a)
-    order = np.argsort(w)[::-1]
-    cols = [v[:, j] for j in order]
-    rate_floor = 1e-9 * norm
-    chosen: list[np.ndarray] = []
-    planes = []
-    for col in cols:
-        if len(chosen) >= n - 1:
-            break
-        v1 = _orthogonalize(col, chosen)
-        if v1 is None:
-            continue
-        img = a @ v1
-        theta = float(np.linalg.norm(img))
-        if theta <= rate_floor:
-            continue
-        v2 = _orthogonalize(img / theta, chosen + [v1])
-        if v2 is None:
-            continue
-        planes.append((v1, v2, theta))
-        chosen.extend([v1, v2])
-    planes.sort(key=lambda p: -p[2])
-    columns = []
-    for v1, v2, _ in planes:
-        columns.extend([v1, v2])
-    # complete with an orthonormal kernel basis
-    for e in np.eye(n):
-        if len(columns) == n:
-            break
-        k = _orthogonalize(e, columns)
-        if k is not None:
-            columns.append(k)
-    q = np.stack(columns, axis=1)
-    rates = [theta for _, _, theta in planes] + [0.0] * (n // 2 - len(planes))
-    plane_idx = tuple((2 * i, 2 * i + 1) for i in range(len(planes)))
-    rot = CanonicalRotation(q, tuple(rates), plane_idx)
+    theta, v = np.linalg.eigh(1j * a)
+    theta, v = theta[::-1][:n // 2], v[:, ::-1]
+    k = int(np.count_nonzero(theta > _form_tol(a)))
+    planes = np.sqrt(2.0) * np.stack([v[:, :k].real, v[:, :k].imag], axis=2)
+    q, r = np.linalg.qr(planes.reshape(n, 2 * k), mode="complete")
+    q[:, :2 * k] *= np.sign(np.diag(r))
+    rates = tuple(float(t) for t in theta[:k]) + (0.0,) * (n // 2 - k)
+    rot = CanonicalRotation(q, rates, tuple((2 * i, 2 * i + 1) for i in range(k)))
     _validate_canonical(a, rot)
     return rot
 
@@ -216,5 +187,5 @@ def _validate_canonical(a, rot):
     for i, theta in enumerate(t for t in rot.rates if t > 0):
         ref[2 * i + 1, 2 * i] = theta
         ref[2 * i, 2 * i + 1] = -theta
-    if np.max(np.abs(b - ref)) > 1e-10 * max(1.0, np.max(np.abs(a))):
+    if np.max(np.abs(b - ref)) > _form_tol(a):
         raise RuntimeError("canonical form validation failed")

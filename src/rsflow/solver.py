@@ -83,6 +83,9 @@ class SolverConfig:
             dims = dims * 3
         if len(dims) != 3:
             raise ValueError("dims must have 3 entries")
+        if 2 * self.kmax >= min(dims):
+            raise ValueError(f"2 * kmax must be < min(dims) = {min(dims)}, "
+                             f"got kmax = {self.kmax}")
         object.__setattr__(self, "dims", dims)
 
 

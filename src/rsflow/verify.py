@@ -444,6 +444,8 @@ def identity_suite(dims=range(3, 9), seeds=20) -> dict:
     if seeds < 1:
         raise ValueError(f"identity suite needs seeds >= 1, got {seeds}")
     dims = list(dims)
+    if not dims:
+        raise ValueError("identity suite needs at least one d")
     for d in dims:
         if not 3 <= d <= 12:
             raise ValueError(f"identity suite needs 3 <= d <= 12, got d = {d}")

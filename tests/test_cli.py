@@ -78,15 +78,25 @@ def test_canonical_random_demo(capsys):
 
 
 def test_canonical_from_matrix_file(tmp_path, capsys):
+    # a 5x5 matrix with the near-repeated rates 1 + 1e-6 and 1, rotated
+    rng = np.random.default_rng(0)
+    b = np.zeros((5, 5))
+    b[[1, 3], [0, 2]] = 1.0 + 1e-6, 1.0
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    near = q @ (b - b.T) @ q.T
     path = tmp_path / "a.json"
-    path.write_text(json.dumps([[0.0, -2.0], [2.0, 0.0]]))
-    assert main(["canonical", "--matrix", str(path)]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["rates"] == pytest.approx([2.0])
+    for matrix, rates in [([[0.0, -2.0], [2.0, 0.0]], [2.0]),
+                          ((0.5 * (near - near.T)).tolist(), [1.0 + 1e-6, 1.0])]:
+        path.write_text(json.dumps(matrix))
+        assert main(["canonical", "--matrix", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["rates"] == pytest.approx(rates, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("text, expected", [
-    ("5", "square 2-D"), ("[[0, NaN], [NaN, 0]]", "matrix = nan at node (0, 1)")])
+    ("5", "square 2-D"), ("[[0, NaN], [NaN, 0]]", "matrix = nan at node (0, 1)"),
+    ('{"a": 1}', "m.json: not a matrix of numbers"),
+    ("[[{}]]", "m.json: not a matrix of numbers")])
 def test_canonical_rejects_bad_matrix_file(text, expected, tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(text)
@@ -320,7 +330,10 @@ def test_simulate_rejects_bad_config_values(tmp_path, capsys):
              "config line 3: key 'seed' already set on line 1"),
             # the solver is inviscid
             ("mode=constrained\nnu=0.01\n",
-             "config line 2: unknown key 'nu'")]:
+             "config line 2: unknown key 'nu'"),
+            # modes k and k - 16 alias on 16 nodes
+            ("dims=16\nkmax=12\n",
+             "2 * kmax must be < min(dims) = 16, got kmax = 12")]:
         cfg.write_text(text)
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2

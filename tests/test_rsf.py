@@ -227,3 +227,41 @@ def test_canonical_json_fields():
     rot = canonical_antisymmetric(_random_antisym(rng, 4))
     data = json.loads(rot.to_json())
     assert data["d"] == 4 and len(data["Q"]) == 16 and len(data["rates"]) == 2
+
+
+def _rotated_blocks(rng, rates, d):
+    """Q B Q^T for a random orthogonal Q and the block form B of ``rates``."""
+    b = np.zeros((d, d))
+    for i, t in enumerate(rates):
+        b[2 * i + 1, 2 * i], b[2 * i, 2 * i + 1] = t, -t
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    a = q @ b @ q.T
+    return 0.5 * (a - a.T)
+
+
+def test_canonical_recovers_constructed_rates():
+    # 300 seeded matrices, d = 1..12, six kinds; near-repeated rates and a
+    # small rate leave eigenvectors of nearby eigenvalues ill-determined
+    rng = np.random.default_rng(12)
+    for j in range(300):
+        kind = ("random", "near_repeated", "small_rate", "all_equal",
+                "one_zero", "scaled")[j % 6]
+        d = int(rng.integers(1, 13))
+        m = d // 2
+        rates = np.sort(rng.uniform(0.5, 2.0, size=m))[::-1]
+        if kind == "near_repeated" and m >= 2:
+            rates[1] = rates[0] * (1 - 10.0 ** rng.uniform(-14, -4))
+        elif kind == "small_rate" and m >= 1:
+            rates[-1] = 10.0 ** rng.uniform(-9, -4)
+        elif kind == "all_equal":
+            rates[:] = rates[:1]
+        elif kind == "one_zero" and m >= 1:
+            rates[-1] = 0.0
+        elif kind == "scaled":
+            rates *= 10.0 ** rng.uniform(-6, 6)
+        a = _rotated_blocks(rng, rates, d)
+        rot = canonical_antisymmetric(a)
+        assert len(rot.rates) == m, (kind, d)
+        np.testing.assert_allclose(rot.rates, rates, rtol=0,
+                                   atol=1e-12 * max(1.0, np.max(np.abs(a))),
+                                   err_msg=f"{kind}, d = {d}")

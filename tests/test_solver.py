@@ -63,7 +63,7 @@ def test_config_rejects_missing_equals():
                                 dict(c=np.nan), dict(amplitude=np.nan),
                                 dict(cfl=np.nan), dict(amplitude=-0.1),
                                 dict(snapshot_stride=0), dict(kmax=0),
-                                dict(seed=-1)])
+                                dict(seed=-1), dict(dims=16, kmax=12)])
 def test_config_validation(kw):
     with pytest.raises(ValueError):
         SolverConfig(**kw)

@@ -597,6 +597,12 @@ def test_identity_suite_small_slice():
     assert all(v <= 1e-12 for v in worst.values())
 
 
+def test_identity_suite_rejects_no_dimensions():
+    # no d checks no identity; five zero maxima would read as a pass
+    with pytest.raises(ValueError, match="^identity suite needs at least one d$"):
+        identity_suite(dims=[], seeds=1)
+
+
 def test_wedge_of_3d_components_is_trivial():
     # in d = 3 the wedge of two component 2-forms exceeds the top degree
     g = Grid.cube(3, 8)
