@@ -37,11 +37,11 @@ class Grid:
     length: tuple = None
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in np.atleast_1d(np.asarray(self.dims)))
+        dims = tuple(np.atleast_1d(np.asarray(self.dims)).tolist())
         if not dims:
             raise ValueError("grid needs at least one axis")
-        if any(n < MIN_DIM for n in dims):
-            raise ValueError(f"all dims must be >= {MIN_DIM}, got {dims}")
+        if not all(isinstance(n, int) and n >= MIN_DIM for n in dims):
+            raise ValueError(f"all dims must be integers >= {MIN_DIM}, got {dims}")
         if self.length is None:
             length = (TWO_PI,) * len(dims)
         else:

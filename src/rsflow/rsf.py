@@ -159,8 +159,8 @@ def canonical_antisymmetric(a: np.ndarray) -> CanonicalRotation:
     block-form check, is zero and fills one of the floor(d/2) slots.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square 2-D, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"matrix must be square 2-D and non-empty, got shape {a.shape}")
     check_finite("", [a], ["matrix"])
     n = a.shape[0]
     if np.max(np.abs(a + a.T)) > 1e-12 * max(np.linalg.norm(a), 1.0):

@@ -78,7 +78,7 @@ class SolverConfig:
             raise ValueError(f"kmax must be >= 1, got {self.kmax}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        dims = tuple(int(n) for n in np.atleast_1d(np.asarray(self.dims)))
+        dims = Grid(self.dims).dims  # the grid's rule, before the kmax bound
         if len(dims) == 1:
             dims = dims * 3
         if len(dims) != 3:

@@ -114,10 +114,10 @@ class TrigPoly:
         return out
 
     @classmethod
-    def band_limited(cls, d, kmax, rng, amplitude=1.0) -> "TrigPoly":
+    def band_limited(cls, d, kmax, rng) -> "TrigPoly":
         """Dense band-limited random field, all modes 0 < |k|_inf <= kmax.
 
-        Normalized so that sum |c_k| = amplitude, hence max |f| <= amplitude.
+        Normalized so that sum |c_k| = 1, hence max |f| <= 1.
         """
         k = np.indices((2 * kmax + 1,) * d).reshape(d, -1).T - kmax
         first_nonzero = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
@@ -126,7 +126,7 @@ class TrigPoly:
         c = re + 1j * im
         total = 2 * np.abs(c).sum()
         if total > 0:
-            c *= amplitude / total
+            c *= 1.0 / total
         return cls(d, np.concatenate([half, -half]), np.concatenate([c, c.conj()]))
 
     # ------------------------------------------------------------------
@@ -209,8 +209,8 @@ class TrigPoly:
         """Root-mean-square over the box (Parseval, exact)."""
         return math.sqrt(float((np.abs(self.c) ** 2).sum()))
 
-    def is_zero(self, tol=0.0) -> bool:
-        return self.max_abs() <= tol
+    def is_zero(self) -> bool:
+        return self.max_abs() == 0.0
 
     def __repr__(self):
         return f"TrigPoly(d={self.d}, nterms={len(self.c)})"

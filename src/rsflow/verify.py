@@ -457,21 +457,20 @@ def identity_suite(dims=range(3, 9), seeds=20) -> dict:
             u = [TrigPoly.random(d, 2, rng) for _ in range(d)]
             omega1 = _random_form(d, 1, rng)
             omega2 = _random_form(d, 2, rng)
+            d1 = exterior_derivative(omega1)
+            lie1 = lie_derivative_cartan(u, omega1)
+            lie2 = lie_derivative_cartan(u, omega2)
             worst["dd_zero"] = max(
-                worst["dd_zero"],
-                exterior_derivative(exterior_derivative(omega1)).max_abs(),
+                worst["dd_zero"], exterior_derivative(d1).max_abs(),
                 exterior_derivative(exterior_derivative(omega2)).max_abs())
-            for omega in (omega1, omega2):
-                diff = (lie_derivative_cartan(u, omega)
-                        - lie_derivative_components(u, omega))
+            for omega, lie in ((omega1, lie1), (omega2, lie2)):
+                diff = lie - lie_derivative_components(u, omega)
                 worst["cartan_vs_components"] = max(
                     worst["cartan_vs_components"], diff.max_abs())
-            comm = (exterior_derivative(lie_derivative_cartan(u, omega1))
-                    - lie_derivative_cartan(u, exterior_derivative(omega1)))
+            comm = exterior_derivative(lie1) - lie_derivative_cartan(u, d1)
             worst["d_commutes_lie"] = max(worst["d_commutes_lie"], comm.max_abs())
             lhs = lie_derivative_cartan(u, wedge(omega1, omega2))
-            rhs = (wedge(lie_derivative_cartan(u, omega1), omega2)
-                   + wedge(omega1, lie_derivative_cartan(u, omega2)))
+            rhs = wedge(lie1, omega2) + wedge(omega1, lie2)
             worst["leibniz"] = max(worst["leibniz"], (lhs - rhs).max_abs())
             worst["lemma1"] = max(worst["lemma1"],
                                   lemma1_check(d, max(2, d // 2), seed))

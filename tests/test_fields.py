@@ -38,6 +38,11 @@ def test_grid_rejects_tiny_dims():
         Grid((4, 16))
 
 
+def test_grid_rejects_non_integer_dims():
+    with pytest.raises(ValueError, match="dims must be integers"):
+        Grid((8.5, 16))
+
+
 @pytest.mark.parametrize("length", [0.0, -1.0, np.inf, np.nan])
 def test_grid_rejects_bad_lengths(length):
     with pytest.raises(ValueError, match="positive and finite"):

@@ -178,6 +178,11 @@ def test_canonical_rates_match_eigenvalue_oracle():
         np.testing.assert_allclose(rot.rates, expect, atol=1e-10)
 
 
+def test_canonical_rejects_empty_matrix():
+    with pytest.raises(ValueError, match=r"non-empty, got shape \(0, 0\)$"):
+        canonical_antisymmetric(np.zeros((0, 0)))
+
+
 def test_canonical_block_structure():
     rng = np.random.default_rng(8)
     a = _random_antisym(rng, 7)

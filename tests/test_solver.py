@@ -73,6 +73,22 @@ def test_config_scalar_dims_broadcast():
     assert SolverConfig(dims=(32,)).dims == (32, 32, 32)
 
 
+@pytest.mark.parametrize("dims", [(4, 16, 16), (0, 16, 16), (-8, 16, 16),
+                                  (8.5, 16, 16)])
+def test_config_rejects_bad_dims(dims):
+    # the grid's own rule, named for dims before the kmax bound reads min(dims)
+    with pytest.raises(ValueError, match=r"^all dims must be integers >= 8, got \("):
+        SolverConfig(dims=dims, kmax=1)
+
+
+def test_config_dims_checked_before_kmax():
+    with pytest.raises(ValueError, match=r"^all dims must be integers >= 8, got \(4,\)$"):
+        parse_config("dims=4\nkmax=1")
+    with pytest.raises(ValueError, match=r"^2 \* kmax must be < min\(dims\) = 16, "
+                                         r"got kmax = 12$"):
+        SolverConfig(dims=(16, 32, 16), kmax=12)
+
+
 # ----------------------------------------------------------------------
 # fixed points and structure
 # ----------------------------------------------------------------------

@@ -77,9 +77,9 @@ def test_sample_matches_pointwise_eval():
 
 def test_band_limited_normalization_and_bound():
     rng = np.random.default_rng(1)
-    f = TrigPoly.band_limited(3, 2, rng, amplitude=0.5)
-    assert f.max_abs() == pytest.approx(0.5, rel=1e-12)
-    assert np.max(np.abs(f.eval(PTS))) <= 0.5 + 1e-12
+    f = TrigPoly.band_limited(3, 2, rng)
+    assert f.max_abs() == pytest.approx(1.0, rel=1e-12)
+    assert np.max(np.abs(f.eval(PTS))) <= 1.0 + 1e-12
 
 
 def test_band_limited_is_real():
@@ -93,7 +93,7 @@ def test_band_limited_is_real():
 def test_zero_and_is_zero():
     z = TrigPoly.zero(3)
     assert z.is_zero()
-    assert (z + TrigPoly.sin(3, (1, 0, 0)) - TrigPoly.sin(3, (1, 0, 0))).is_zero(1e-16)
+    assert (z + TrigPoly.sin(3, (1, 0, 0)) - TrigPoly.sin(3, (1, 0, 0))).is_zero()
 
 
 def test_wavevector_length_mismatch_rejected():

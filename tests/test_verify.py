@@ -9,6 +9,7 @@ import pytest
 
 from rsflow import fields as fields_module
 from rsflow import rsff
+from rsflow import verify as verify_module
 from rsflow.exterior import jacobian_minor, wedge
 from rsflow.fields import (Grid, Interpolator, VectorField, derivative,
                            lagrange4_taps, lagrange4_weights)
@@ -595,6 +596,19 @@ def test_identity_suite_small_slice():
     assert set(worst) == {"dd_zero", "cartan_vs_components", "d_commutes_lie",
                           "leibniz", "lemma1"}
     assert all(v <= 1e-12 for v in worst.values())
+
+
+def test_identity_suite_computes_each_lie_derivative_once(monkeypatch):
+    # per (d, seed): L w1, L w2, L dw1 and L (w1 ^ w2) in the battery and two
+    # in lemma1_check; d w1, dd w1, d w2, dd w2 and d L w1
+    calls = {"lie_derivative_cartan": 0, "exterior_derivative": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(verify_module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(verify_module, name, counted)
+    identity_suite(dims=[4], seeds=1)
+    assert calls == {"lie_derivative_cartan": 6, "exterior_derivative": 5}
 
 
 def test_identity_suite_rejects_no_dimensions():
