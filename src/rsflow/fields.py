@@ -56,8 +56,8 @@ class Grid:
         object.__setattr__(self, "length", length)
 
     @classmethod
-    def cube(cls, d: int, n: int, length: float = TWO_PI) -> "Grid":
-        return cls((n,) * d, (length,) * d)
+    def cube(cls, d: int, n: int) -> "Grid":
+        return cls((n,) * d)
 
     @property
     def d(self) -> int:
@@ -69,7 +69,7 @@ class Grid:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def cell_volume(self) -> float:

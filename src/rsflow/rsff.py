@@ -20,14 +20,16 @@ VERSION = 1
 
 
 def write_field(path, f, time: float = 0.0) -> None:
-    """Write a ScalarField, VectorField, or list of ScalarFields."""
+    """Write a ScalarField, VectorField, or non-empty list of ScalarFields
+    on one grid."""
     if isinstance(f, ScalarField):
-        comps = [f]
-    elif isinstance(f, VectorField):
-        comps = list(f.components)
-    else:
-        comps = list(f)
-    grid = comps[0].grid
+        f = [f]
+    if not isinstance(f, VectorField):
+        f = list(f)
+        if not f:
+            raise ValueError(f"{path}: no components to write")
+        f = VectorField(f[0].grid, f)
+    comps, grid = f.components, f.grid
     d = grid.d
     header = MAGIC + struct.pack("<III", VERSION, d, len(comps))
     header += struct.pack(f"<{d}I", *grid.dims)

@@ -84,12 +84,14 @@ class TrigPoly:
         return cls(d, [k, [-a for a in k]], [c, c.conjugate()])
 
     @classmethod
-    def sin(cls, d, k, amplitude=1.0) -> "TrigPoly":
-        return cls.harmonic(d, k, amplitude, phase=-0.5 * math.pi)
+    def sin(cls, d, k) -> "TrigPoly":
+        """sin(k.x)."""
+        return cls.harmonic(d, k, phase=-0.5 * math.pi)
 
     @classmethod
-    def cos(cls, d, k, amplitude=1.0) -> "TrigPoly":
-        return cls.harmonic(d, k, amplitude)
+    def cos(cls, d, k) -> "TrigPoly":
+        """cos(k.x)."""
+        return cls.harmonic(d, k)
 
     @classmethod
     def random(cls, d, kmax, rng, nterms=3, axes=None) -> "TrigPoly":
@@ -103,15 +105,15 @@ class TrigPoly:
             raise ValueError(f"random harmonics need kmax >= 1, got {kmax}")
         if not axes:
             raise ValueError(f"random harmonics need at least one axis, got axes={axes}")
-        out = cls.zero(d)
+        terms = []
         for _ in range(nterms):
             k = [0] * d
             while not any(k):
                 for a in axes:
                     k[a] = int(rng.integers(-kmax, kmax + 1))
-            amp = float(rng.normal()) / nterms
-            out = out + cls.harmonic(d, k, amp, phase=float(rng.uniform(0, 2 * math.pi)))
-        return out
+            terms.append(cls.harmonic(d, k, rng.normal() / nterms, rng.uniform(0, math.tau)))
+        return cls(d, np.concatenate([np.zeros((0, d), int)] + [h.k for h in terms]),
+                   np.concatenate([np.zeros(0)] + [h.c for h in terms]))
 
     @classmethod
     def band_limited(cls, d, kmax, rng) -> "TrigPoly":
@@ -210,7 +212,7 @@ class TrigPoly:
         return math.sqrt(float((np.abs(self.c) ** 2).sum()))
 
     def is_zero(self) -> bool:
-        return self.max_abs() == 0.0
+        return not len(self.c)
 
     def __repr__(self):
         return f"TrigPoly(d={self.d}, nterms={len(self.c)})"

@@ -86,6 +86,7 @@ class VelocityHistory:
         if len(times) < 4:
             raise ValueError(f"cubic time interpolation needs at least 4 "
                              f"snapshots, got {len(times)}")
+        check_finite("", [times], ["snapshot time"])
         dts = np.diff(times)
         if np.any(dts <= 0):
             raise ValueError("snapshot times must be strictly increasing")

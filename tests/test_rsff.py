@@ -54,6 +54,39 @@ def test_truncated_file_rejected(tmp_path):
         rsff.read_field(path)
 
 
+def test_header_whose_point_count_overflows_int64_is_truncated(tmp_path):
+    # 2**21 * 2**21 * 2**22 is 2**64, which an int64 product wraps to 0
+    path = tmp_path / "huge.rsff"
+    path.write_bytes(rsff.MAGIC + struct.pack("<6I", rsff.VERSION, 3, 1, 2 ** 21, 2 ** 21,
+                                              2 ** 22) + struct.pack("<4d", 1, 1, 1, 0))
+    with pytest.raises(ValueError) as exc:
+        rsff.read_field(path)
+    assert str(exc.value) == f"{path}: truncated (60 bytes, expected {60 + 8 * 2 ** 64})"
+
+
+@pytest.mark.parametrize("dims, expected", [
+    ([(8, 8, 16), (8, 16, 8)], "all components must share one grid"),
+    ([], "{path}: no components to write")], ids=["two grids", "empty"])
+def test_write_rejects_a_list_that_is_not_one_grid(dims, expected, tmp_path):
+    # one header describes every component, so a second grid would be
+    # read back reshaped to the first
+    path = tmp_path / "bad.rsff"
+    with pytest.raises(ValueError) as exc:
+        rsff.write_field(path, [ScalarField.zeros(Grid(n)) for n in dims])
+    assert str(exc.value) == expected.format(path=path)
+    assert not path.exists()
+
+
+def test_list_of_scalar_fields_on_one_grid_round_trips(tmp_path):
+    g = Grid((8, 8, 16))
+    comps = [_random_field(g, s) for s in range(3)]
+    path = tmp_path / "list.rsff"
+    rsff.write_field(path, comps, time=0.5)
+    back, t = rsff.read_field(path)
+    assert t == 0.5 and back.grid == g
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(comps, back.components))
+
+
 def test_write_is_deterministic(tmp_path):
     g = Grid((8, 8, 8))
     u = VectorField(g, tuple(_random_field(g, s) for s in range(3)))

@@ -94,6 +94,10 @@ def test_zero_and_is_zero():
     z = TrigPoly.zero(3)
     assert z.is_zero()
     assert (z + TrigPoly.sin(3, (1, 0, 0)) - TrigPoly.sin(3, (1, 0, 0))).is_zero()
+    f = TrigPoly.random(3, 2, np.random.default_rng(6))
+    assert (f - f).is_zero()
+    # a NaN coefficient is kept, so the polynomial is not zero
+    assert not TrigPoly(3, [(1, 0, 0)], [np.nan]).is_zero()
 
 
 def test_wavevector_length_mismatch_rejected():
@@ -145,3 +149,43 @@ def test_sample_on_non_cubic_grid_matches_eval(f, sizes):
 def test_random_rejects_empty_band(kmax, axes, expected):
     with pytest.raises(ValueError, match=re.escape(expected)):
         TrigPoly.random(3, kmax, np.random.default_rng(0), axes=axes)
+
+
+def _running_sum_random(d, kmax, rng, nterms=3, axes=None):
+    """The earlier TrigPoly.random: one addition per harmonic onto zero()."""
+    axes = list(range(d)) if axes is None else list(axes)
+    out = TrigPoly.zero(d)
+    for _ in range(nterms):
+        k = [0] * d
+        while not any(k):
+            for a in axes:
+                k[a] = int(rng.integers(-kmax, kmax + 1))
+        amp = float(rng.normal()) / nterms
+        out = out + TrigPoly.harmonic(d, k, amp, phase=float(rng.uniform(0, 2 * np.pi)))
+    return out
+
+
+def test_random_builds_one_polynomial_per_harmonic_and_one_merge(monkeypatch):
+    # the running sum made 2 * nterms + 1: zero(), each harmonic, each sum
+    calls = []
+    init = TrigPoly.__init__
+    monkeypatch.setattr(TrigPoly, "__init__",
+                        lambda self, *a, **kw: calls.append(1) or init(self, *a, **kw))
+    f = TrigPoly.random(3, 2, np.random.default_rng(0), nterms=3)
+    assert len(calls) <= 4 and not f.is_zero()
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_random_has_the_bits_of_the_running_sum(d):
+    for kmax in (1, 2, 3):
+        for nterms in range(10):
+            for axes in (None, [d - 1]):
+                seed = 100 * kmax + 10 * nterms + d
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                f = TrigPoly.random(d, kmax, rng, nterms, axes)
+                ref = _running_sum_random(d, kmax, ref_rng, nterms, axes)
+                assert f.k.dtype == ref.k.dtype and f.k.shape == ref.k.shape
+                assert np.array_equal(f.k, ref.k)
+                # bytes of the float view, so that signed zeros count too
+                assert f.c.view(float).tobytes() == ref.c.view(float).tobytes()
+                assert rng.random() == ref_rng.random()

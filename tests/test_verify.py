@@ -50,6 +50,15 @@ def test_history_rejects_too_few_snapshots():
             _constant_history(g, (1.0, 0.0, 0.0), times)
 
 
+@pytest.mark.parametrize("times, bad", [([0.0, 0.5, 1.0, np.inf], r"inf at node \(3,\)"),
+                                        ([0.0, np.nan, 1.0, 1.5], r"nan at node \(1,\)")],
+                         ids=["inf", "nan"])
+def test_history_rejects_non_finite_times(times, bad):
+    # inf > inf is false, so an infinite last time passed the spacing checks
+    with pytest.raises(ValueError, match="snapshot time = " + bad):
+        _constant_history(Grid.cube(3, 8), (1.0, 0.0, 0.0), times)
+
+
 def test_history_holds_rsf_snapshot_shapes():
     g = Grid.cube(3, 8)
     h = _constant_history(g, (0.3, -0.2, 0.1), [0.0, 0.25, 0.5, 0.75, 1.0])
