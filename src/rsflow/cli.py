@@ -39,7 +39,11 @@ def _cmd_plan(args) -> int:
 
 def _cmd_check_rsf(args) -> int:
     vf, _ = rsff.read_field(args.field)
-    violation = check_rsf(vf, zero_pattern(vf.grid.d))
+    pattern = zero_pattern(vf.grid.d)
+    if vf.ncomp != pattern.d:
+        raise ValueError(f"{args.field}: needs {pattern.d} components on its "
+                         f"{pattern.d}D grid, got {vf.ncomp}")
+    violation = check_rsf(vf, pattern)
     print(f"rsf_violation={violation:.6e}")
     return 0 if violation <= args.threshold else 1
 
@@ -156,7 +160,8 @@ def _cmd_slice_image(args) -> int:
                          f"got {vf.grid.d}D")
     comp_index = {"u1": 0, "u2": 1, "u3": 2}[args.component]
     if comp_index >= vf.ncomp:
-        raise ValueError(f"snapshot has no component {args.component}")
+        raise ValueError(f"{args.snapshot}: no component {args.component}, "
+                         f"got {vf.ncomp} components")
     vals = vf.components[comp_index].values
     if not 0 <= args.axis3 < vals.shape[2]:
         raise ValueError(f"slice index {args.axis3} out of range "

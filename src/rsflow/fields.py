@@ -391,11 +391,12 @@ def gradient_tensor(u: VectorField) -> np.ndarray:
 
 def lagrange4_weights(t):
     """Cubic Lagrange weights for nodes at offsets -1, 0, 1, 2."""
+    tp1, tm1, tm2 = t + 1.0, t - 1.0, t - 2.0
     return (
-        -t * (t - 1.0) * (t - 2.0) / 6.0,
-        (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
-        -(t + 1.0) * t * (t - 2.0) / 2.0,
-        (t + 1.0) * t * (t - 1.0) / 6.0,
+        -t * tm1 * tm2 / 6.0,
+        tp1 * tm1 * tm2 / 2.0,
+        -tp1 * t * tm2 / 2.0,
+        tp1 * t * tm1 / 6.0,
     )
 
 
@@ -421,7 +422,11 @@ def lagrange4_taps(x, h: float, n: int, axis: int = 0, first: int = 0) -> tuple:
     snapped = np.rint(s)
     s = np.where(np.abs(s - snapped) < 1e-9, snapped, s)
     i0 = np.floor(s).astype(np.int64)
-    return [np.mod(i0 + o, n) for o in (-1, 0, 1, 2)], lagrange4_weights(s - i0)
+    # one integer mod; the other taps follow through a wrapped index table
+    base = np.mod(i0 - 1, n)
+    wrap = np.arange(n + 3) % n
+    idx = [base] + [wrap[base + o] for o in (1, 2, 3)]
+    return idx, lagrange4_weights(s - i0)
 
 
 class Interpolator:

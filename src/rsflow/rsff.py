@@ -60,6 +60,8 @@ def read_field(path):
         off += 8
     except struct.error:
         raise ValueError(f"{path}: truncated header ({len(raw)} bytes)") from None
+    if not ncomp:
+        raise ValueError(f"{path}: no components")
     try:
         grid = Grid(dims, length)
     except ValueError as exc:

@@ -292,14 +292,23 @@ def rk4(f, y: list, t: float, dt: float) -> list:
     ``f(t, y)`` returns one slope per entry of ``y``; a ``None`` slope
     leaves its entry unchanged (the same object).  The stages are
     ``y + s * k`` and the update is ``y + (dt / 6)(k1 + 2 k2 + 2 k3 + k4)``.
-    Each is formed into one fresh array shaped like its entry (and its
-    slope), one x1-slab at a time (:func:`map_slabs`); a 0-d entry is one
-    call.  Neither ``y`` nor a slope is written to.  IEEE addition commutes
-    and doubling is exact, so the sums, taken as ``2 k2 + k1 + 2 k3 + k4``,
-    are the bits of the formula above.
+    Each slope is folded into an accumulator as soon as it is known and
+    then dropped, so an entry holds at most four full-size arrays at once
+    (``y``, the accumulator, one stage, one slope), not six.  The
+    accumulator starts as ``2 k2 + k1``; ``2 k3`` and then ``k4`` are added
+    to it in place, and it is scaled by ``dt / 6`` and ``y`` added in the
+    same pass as ``k4``.  Every array is formed one x1-slab at a time
+    (:func:`map_slabs`), shaped like its entry and of the dtype
+    ``result_type(y, k1, k2, 1.0)``; a 0-d entry is one call.  Neither
+    ``y`` nor a slope is written to.  IEEE addition commutes and doubling
+    is exact, so the sum ``2 k2 + k1 + 2 k3 + k4`` is the bits of the
+    formula above.
     """
-    def combine(job, *arrays):
-        out = np.empty(np.shape(arrays[0]), np.result_type(*arrays, 1.0))
+    def combine(job, *arrays, out=None):
+        """``job(out, *arrays)`` one x1-slab at a time; ``out`` is by
+        default a fresh array shaped like ``arrays[0]``."""
+        if out is None:
+            out = np.empty(np.shape(arrays[0]), np.result_type(*arrays, 1.0))
         if not out.ndim:
             job(out, *arrays)
             return out
@@ -316,20 +325,41 @@ def rk4(f, y: list, t: float, dt: float) -> list:
             out += a
         return [a if b is None else combine(job, a, b) for a, b in zip(y, k)]
 
-    def update(out, a, b1, b2, b3, b4):
+    def fold(job, *ks):
+        # a helper, so that no loop variable keeps a slope alive afterwards
+        for i, c in enumerate(acc):
+            if c is not None:
+                combine(job, *[k[i] for k in ks], out=c)
+
+    def start(out, a, b1, b2):
+        # a is not read: passed to combine, it sets the shape and the dtype
         np.multiply(b2, 2, out=out)
         out += b1
+
+    def add_double(out, b3):
         out += 2 * b3
+
+    def finish(out, a, b4):
         out += b4
         out *= dt / 6.0
         out += a
 
     k1 = f(t, y)
     k2 = f(t + 0.5 * dt, stage(k1, 0.5 * dt))
-    k3 = f(t + 0.5 * dt, stage(k2, 0.5 * dt))
-    k4 = f(t + dt, stage(k3, dt))
-    return [a if b1 is None else combine(update, a, b1, b2, b3, b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    acc = [None if b1 is None else combine(start, a, b1, b2)
+           for a, b1, b2 in zip(y, k1, k2)]
+    del k1
+    s = stage(k2, 0.5 * dt)
+    del k2
+    k3 = f(t + 0.5 * dt, s)
+    del s
+    fold(add_double, k3)
+    s = stage(k3, dt)
+    del k3
+    k4 = f(t + dt, s)
+    del s
+    fold(finish, y, k4)
+    return [a if c is None else c for a, c in zip(y, acc)]
 
 
 def step_rk4(state: FlowState, cfg: SolverConfig, dt: float) -> FlowState:

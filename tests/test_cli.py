@@ -170,6 +170,38 @@ def test_check_rsf_fails_a_nan_deviation(tmp_path, capsys):
     assert capsys.readouterr().out == "rsf_violation=nan\n"
 
 
+def _file_of_components(tmp_path, ncomp):
+    """A 3D RSFF file on 8^3 with ``ncomp`` zero components, written
+    byte by byte (the writer refuses to make a header-only file)."""
+    path = tmp_path / f"ncomp{ncomp}.rsff"
+    path.write_bytes(rsff.MAGIC + struct.pack("<6I", rsff.VERSION, 3, ncomp, 8, 8, 8)
+                     + struct.pack("<4d", 1, 1, 1, 0) + bytes(8 * 8 ** 3 * ncomp))
+    return path
+
+
+@pytest.mark.parametrize("ncomp, message", [
+    (0, "no components"),
+    (1, "needs 3 components on its 3D grid, got 1")], ids=["header only", "one"])
+def test_check_rsf_names_the_file_with_a_bad_component_count(ncomp, message,
+                                                             tmp_path, capsys):
+    path = _file_of_components(tmp_path, ncomp)
+    assert main(["check-rsf", "--field", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("ncomp, message", [
+    (0, "no components"),
+    (2, "no component u3, got 2 components")], ids=["header only", "two"])
+def test_slice_image_names_the_file_with_a_bad_component_count(ncomp, message,
+                                                               tmp_path, capsys):
+    path = _file_of_components(tmp_path, ncomp)
+    rc = main(["slice-image", "--snapshot", str(path), "--component", "u3",
+               "--axis3", "0", "--out", str(tmp_path / "u3.ppm")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "u3.ppm").exists()
+
+
 def test_slice_image_from_snapshot(sim_outdir, tmp_path):
     snap = sorted(sim_outdir.glob("snap_*.rsff"))[0]
     out = tmp_path / "u3.ppm"

@@ -12,7 +12,7 @@ from rsflow import fields as fields_module
 from rsflow.fields import (HALO, Grid, Interpolator, ScalarField, VectorField,
                            check_finite, derivative, divergence,
                            gradient_tensor, interpolate, lagrange4_taps,
-                           partial_derivative, restrict, taylor_green_2d,
+                           lagrange4_weights, partial_derivative, restrict, taylor_green_2d,
                            with_halo)
 from rsflow.trig import TrigPoly
 
@@ -385,6 +385,51 @@ def test_interpolator_rejects_coordinates_it_cannot_index(coord):
     f = ScalarField(Grid.cube(2, 8), np.ones((8, 8)))
     with pytest.raises(ValueError, match=r"on axis 0: not finite or 2\*\*62"):
         interpolate(f, [coord, 0.0])
+
+
+def _four_mod_taps(x, h, n):
+    """lagrange4_taps written out as four integer mods and the weights as
+    whole products."""
+    s = np.asarray(x, dtype=float) / h
+    snapped = np.rint(s)
+    s = np.where(np.abs(s - snapped) < 1e-9, snapped, s)
+    i0 = np.floor(s).astype(np.int64)
+    return [np.mod(i0 + o, n) for o in (-1, 0, 1, 2)], _product_weights(s - i0)
+
+
+def _product_weights(t):
+    return (-t * (t - 1.0) * (t - 2.0) / 6.0,
+            (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+            -(t + 1.0) * t * (t - 2.0) / 2.0,
+            (t + 1.0) * t * (t - 1.0) / 6.0)
+
+
+@pytest.mark.parametrize("n", [8, 13])
+def test_lagrange4_taps_have_the_bits_of_four_mods(n):
+    h = 2 * np.pi / n
+    rng = np.random.default_rng(9)
+    cells = rng.integers(-3 * n, 3 * n, size=60).astype(float)
+    far = 2.0 ** 61 * rng.uniform(0.9, 1.1, size=20)
+    x = np.concatenate([
+        rng.uniform(0.0, 2 * np.pi, 300),  # inside the box
+        rng.uniform(-50.0, 0.0, 300),  # negative
+        cells * h,  # on a node
+        (cells + rng.uniform(-2e-9, 2e-9, 60)) * h,  # snapped, or just not
+        np.concatenate([far, -far]) * h,  # ~2**61 cells from 0
+    ]).reshape(5, -1)
+    got_idx, got_w = lagrange4_taps(x, h, n)
+    want_idx, want_w = _four_mod_taps(x, h, n)
+    for g, w in zip(got_idx, want_idx):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    for g, w in zip(got_w, want_w):  # bytes, so that signed zeros count
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    for t in (0.0, 0.25, -0.5, 1.0 / 3.0, 0.999999):  # the time weights
+        assert repr(lagrange4_weights(t)) == repr(_product_weights(t))
+    with pytest.raises(ValueError) as info:
+        lagrange4_taps(np.array([[0.5, 1.0], [np.inf, 2.0]]), h, n, axis=2,
+                       first=7)
+    assert str(info.value) == ("point 9 has coordinate inf on axis 2: not "
+                               "finite or 2**62 or more cells from 0")
 
 
 def test_interpolation_accuracy_off_nodes():

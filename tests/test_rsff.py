@@ -64,6 +64,15 @@ def test_header_whose_point_count_overflows_int64_is_truncated(tmp_path):
     assert str(exc.value) == f"{path}: truncated (60 bytes, expected {60 + 8 * 2 ** 64})"
 
 
+def test_header_without_components_is_rejected_with_its_path(tmp_path):
+    path = tmp_path / "empty.rsff"
+    path.write_bytes(rsff.MAGIC + struct.pack("<6I", rsff.VERSION, 3, 0, 8, 8, 8)
+                     + struct.pack("<4d", 1, 1, 1, 0))
+    with pytest.raises(ValueError) as exc:
+        rsff.read_field(path)
+    assert str(exc.value) == f"{path}: no components"
+
+
 @pytest.mark.parametrize("dims, expected", [
     ([(8, 8, 16), (8, 16, 8)], "all components must share one grid"),
     ([], "{path}: no components to write")], ids=["two grids", "empty"])

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -401,13 +402,16 @@ def test_rk4_in_slabs_is_the_whole_array_step(three_slab_threads):
          rng.normal(size=POOL_DIMS),
          np.broadcast_to(rng.normal(size=POOL_DIMS[1:]), POOL_DIMS),
          rng.normal(size=POOL_DIMS[::-1]).T,
+         rng.normal(size=ROWS).astype(np.float32),
          frozen]
     before = [np.copy(a) for a in y]
     returned = []  # each slope with a copy of its values when returned
 
     def slope(t, y):
+        # y[0] and y[3] are their own slopes: k1 is the entry and k2, k3
+        # and k4 are the stages themselves
         ks = [y[0], np.cos(t) * y[1], y[2] ** 2 - t, y[3],
-              np.sin(y[3]) + t, np.cos(y[5]), None]
+              np.sin(y[3]) + t, np.cos(y[5]), np.sin(y[6]) - t, None]
         returned.extend((k, np.copy(k)) for k in ks if k is not None)
         return ks
 
@@ -419,7 +423,23 @@ def test_rk4_in_slabs_is_the_whole_array_step(three_slab_threads):
     assert got[-1] is frozen
     expected = _whole_array_rk4(slope, y, 0.3, 0.1)
     for g, e in zip(got, expected):
-        assert g.shape == e.shape and np.array_equal(g, e)
+        assert g.shape == e.shape and g.dtype == e.dtype
+        assert np.array_equal(g, e)
+    assert got[6].dtype == np.float32
+
+
+def test_rk4_holds_three_entry_sizes_beyond_its_input():
+    # y, the accumulator, one stage and one slope: beyond the caller's y,
+    # rk4 and a slope that allocates only its result hold three entries at
+    # most, plus the slab temporaries of 2 k3 while only two are alive
+    y = [np.random.default_rng(7).normal(size=2 ** 20)]
+    tracemalloc.start()
+    try:
+        rk4(lambda t, y: [np.cos(y[0])], y, 0.0, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * y[0].nbytes + 8 * fields_module._SLAB_SIZE
 
 
 def _whole_grid_rsf_dev(u, pattern):
