@@ -221,9 +221,9 @@ HALO = 2  # planes a first derivative reads beyond each end of a slab
 _in_pool = threading.local()  # .worker is True in the pool's threads
 
 
-def _as_worker(job, a, b):
+def _as_worker(holder, a, b):
     _in_pool.worker = True
-    return job(a, b)
+    return holder[0](a, b)
 
 
 @functools.cache
@@ -263,8 +263,15 @@ def map_slabs(job, n: int, plane: int) -> list:
     pool = _slab_pool()
     if pool is None or getattr(_in_pool, "worker", False):
         return [job(a, b) for a, b in slabs]
-    jobs = [pool.submit(_as_worker, job, a, b) for a, b in slabs]
-    return [f.result() for f in jobs]
+    # a pool thread drops its work item only after setting the result, so
+    # the items reach the job through a holder that is emptied here: the
+    # arrays the job holds are then freed by the caller, not later by a
+    # pool thread while the caller allocates
+    holder = [job]
+    jobs = [pool.submit(_as_worker, holder, a, b) for a, b in slabs]
+    results = [f.result() for f in jobs]
+    holder.clear()
+    return results
 
 
 def with_halo(values, a: int, b: int) -> tuple:

@@ -3,6 +3,7 @@
 import multiprocessing
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -165,6 +166,31 @@ def test_last_axis_pass_is_the_three_slice_stencil(stencil, reference, case,
     assert np.array_equal(got, expected, equal_nan=True)
     if case == "nan":
         assert np.isnan(got).any()
+
+
+def test_pool_threads_keep_no_reference_to_a_finished_job(monkeypatch):
+    # a pool thread may hold its work item until after the caller resumed;
+    # whatever the items keep, the job's arrays must go when the caller
+    # drops them, not when a pool thread next takes work
+    kept = []
+    with ThreadPoolExecutor(3) as pool:
+        class Retaining:
+            def submit(self, fn, *args):
+                kept.append(args)
+                return pool.submit(fn, *args)
+        monkeypatch.setattr(fields_module, "_slab_pool", Retaining)
+        values = np.ones((64, 32, 64))
+        alive = weakref.ref(values)
+        sums = fields_module.map_slabs(_summing(values), 64, 32 * 64)
+        del values
+    assert len(kept) == 2 and sum(sums) == 64 * 32 * 64
+    assert alive() is None
+
+
+def _summing(values):
+    def job(a, b):
+        return float(values[a:b].sum())
+    return job
 
 
 def _slab_derivative_in_child(values, expected):
