@@ -187,6 +187,27 @@ def test_pool_threads_keep_no_reference_to_a_finished_job(monkeypatch):
     assert alive() is None
 
 
+def test_the_caller_frees_the_futures_of_its_last_pool_call(monkeypatch):
+    # the futures of one call stay with the calling thread until its next
+    # call, so that it, not a pool thread, frees them
+    submitted = []
+    with ThreadPoolExecutor(3) as pool:
+        class Recording:
+            def submit(self, fn, *args):
+                future = pool.submit(fn, *args)
+                submitted.append(weakref.ref(future))
+                return future
+        monkeypatch.setattr(fields_module, "_slab_pool", Recording)
+        job = _summing(np.ones((64, 32, 64)))
+        fields_module.map_slabs(job, 64, 32 * 64)
+        first = list(submitted)
+        assert len(first) == 2 and all(f() is not None for f in first)
+        fields_module.map_slabs(job, 64, 32 * 64)
+    # the pool has shut down: no pool thread holds a work item any more
+    assert all(f() is None for f in first)
+    assert all(f() is not None for f in submitted[2:])
+
+
 def _summing(values):
     def job(a, b):
         return float(values[a:b].sum())
