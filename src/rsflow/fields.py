@@ -266,11 +266,12 @@ def map_slabs(job, n: int, plane: int) -> list:
         return [job(a, b) for a, b in slabs]
     # A pool thread drops its work item only after setting the result, so
     # whatever the caller drops first would be freed by that thread, at a
-    # moment that races the caller's next allocations.  With the job's
-    # arrays (here through a holder that is emptied) and the futures' lock
-    # buffers (kept until this thread's next call) freed by the caller,
-    # the heap's layout is the same in every run; freed by the pool, it
-    # grew by 16-64 MB at random in a 128^3 simulate run.
+    # moment that races the caller's next allocations; in a 128^3 simulate
+    # run the heap then grew by 16-64 MB in some runs and not in others.
+    # So the job reaches the pool through a holder that is emptied here,
+    # and the futures are kept until this thread's next call, which drops
+    # them before it makes its own: those reuse their memory.
+    _last_call.futures = None
     holder = [job]
     jobs = [pool.submit(_as_worker, holder, a, b) for a, b in slabs]
     results = [f.result() for f in jobs]
