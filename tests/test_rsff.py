@@ -140,7 +140,7 @@ def test_read_scans_the_values_once(tmp_path, monkeypatch):
 
 
 def test_read_makes_no_second_copy_of_the_values(tmp_path):
-    # the components are views of the file's bytes, not converted copies
+    # each component is read straight into its array, not converted
     g = Grid.cube(3, 32)
     path = tmp_path / "u.rsff"
     rsff.write_field(path, VectorField(g, tuple(_random_field(g, s)
@@ -153,6 +153,23 @@ def test_read_makes_no_second_copy_of_the_values(tmp_path):
         tracemalloc.stop()
     # the file's bytes once, plus one NaN/Inf scan's mask of 1 byte a value
     assert peak < 1.5 * path.stat().st_size
+
+
+def test_each_component_is_a_read_only_array_of_its_own(tmp_path):
+    # one block per component, so a read can reuse the freed blocks of a
+    # solver run's arrays instead of needing one block for the whole file
+    g = Grid.cube(3, 8)
+    path = tmp_path / "u.rsff"
+    rsff.write_field(path, VectorField(g, tuple(_random_field(g, s) for s in range(3))))
+    values = [c.values for c in rsff.read_field(path)[0].components]
+    assert not any(v.flags.writeable for v in values)
+    owners = []
+    for v in values:
+        while isinstance(v.base, np.ndarray):
+            v = v.base
+        owners.append(v if v.base is None else v.base)
+    assert len(set(map(id, owners))) == 3
+    assert all(isinstance(o, np.ndarray) and o.nbytes == 8 * 8 ** 3 for o in owners)
 
 
 def test_bad_box_length_names_the_file(tmp_path):
