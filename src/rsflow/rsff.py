@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+
 import numpy as np
 
 from .fields import Grid, ScalarField, VectorField

@@ -294,7 +294,7 @@ def rk4(f, y: list, t: float, dt: float) -> list:
     ``y + s * k`` and the update is ``y + (dt / 6)(k1 + 2 k2 + 2 k3 + k4)``.
     Each slope is folded into an accumulator as soon as it is known and
     then dropped, so an entry holds at most four full-size arrays at once
-    (``y``, the accumulator, one stage, one slope), not six.  The
+    (``y``, the accumulator, one stage, one slope).  The
     accumulator starts as ``2 k2 + k1``; ``2 k3`` and then ``k4`` are added
     to it in place, and it is scaled by ``dt / 6`` and ``y`` added in the
     same pass as ``k4``.  Every array is formed one x1-slab at a time

@@ -13,8 +13,8 @@ from rsflow import fields as fields_module
 from rsflow.fields import (HALO, Grid, Interpolator, ScalarField, VectorField,
                            check_finite, derivative, divergence,
                            gradient_tensor, interpolate, lagrange4_taps,
-                           lagrange4_weights, partial_derivative, restrict, taylor_green_2d,
-                           with_halo)
+                           lagrange4_weights, partial_derivative, restrict,
+                           taylor_green_2d, with_halo)
 from rsflow.trig import TrigPoly
 
 

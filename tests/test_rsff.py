@@ -172,6 +172,19 @@ def test_each_component_is_a_read_only_array_of_its_own(tmp_path):
     assert all(isinstance(o, np.ndarray) and o.nbytes == 8 * 8 ** 3 for o in owners)
 
 
+def test_file_cut_while_read_is_truncated(tmp_path, monkeypatch):
+    g = Grid.cube(3, 8)
+    path = tmp_path / "u.rsff"
+    rsff.write_field(path, VectorField(g, tuple(_random_field(g, s) for s in range(3))))
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])  # cut after its size was taken
+    monkeypatch.setattr(rsff.os, "fstat",
+                        lambda fd: type("Stat", (), {"st_size": full}))
+    with pytest.raises(ValueError) as exc:
+        rsff.read_field(path)
+    assert str(exc.value) == f"{path}: truncated while read"
+
+
 def test_bad_box_length_names_the_file(tmp_path):
     path = _corrupted(tmp_path, 28 + 8, np.inf)
     with pytest.raises(ValueError, match="box lengths must be positive") as exc:
