@@ -96,7 +96,14 @@ def check_rsf(u: VectorField, pattern: ZeroPattern) -> float:
     """Max |du_c/dx_r| over the pattern's required-zero entries (0.0 for
     none): one pass over x1-slabs (:func:`map_slabs`) whose maxima are
     reduced by one ``np.max``, so the value is the whole-grid one and a
-    NaN derivative gives NaN."""
+    NaN derivative gives NaN.
+
+    A component broadcast along r (stride 0 there, as a column-stored u1
+    or u2 is along x3) is differentiated on one 4-wide fibre along r:
+    all five values of each node's stencil are then one value, so every
+    derivative, and the maximum, keep their bits.  The fibre is cut
+    before :func:`with_halo`, whose wrapped end slabs copy the planes and
+    so lose the stride 0; the slab axis (r = 1) is never cut."""
     if u.ncomp != pattern.d:
         raise ValueError("component count does not match pattern dimension")
     h = u.grid.spacing
@@ -105,7 +112,10 @@ def check_rsf(u: VectorField, pattern: ZeroPattern) -> float:
     def slab(a, b):
         maxima = []
         for c, r in pattern.required_zero:
-            planes, halo = with_halo(u.components[c - 1].values, a, b)
+            values = u.components[c - 1].values
+            if r > 1 and not values.strides[r - 1]:
+                values = values[(slice(None),) * (r - 1) + (slice(0, 4),)]
+            planes, halo = with_halo(values, a, b)
             der = derivative(planes, r - 1, h[r - 1], halo)
             maxima.append(np.max(np.abs(der)))
         return maxima

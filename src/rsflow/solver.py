@@ -11,8 +11,10 @@ Three modes:
   barotropic subsystem plus the vertical momentum equation with zero
   vertical pressure gradient.
 * ``free`` -- 3D density; the horizontal momentum equation is fed the
-  vertical average of the horizontal pressure gradient, and the
-  consistency residual is logged each snapshot.
+  horizontal gradient of the vertical average of Pi = c^2 log rho (the
+  stencil is linear, so in exact arithmetic that is the vertical average
+  of the horizontal pressure gradient), and the consistency residual is
+  logged each snapshot.
 * ``kinematic_tg`` -- steady Taylor-Green horizontal field (an exact
   steady Euler solution) advecting an evolving vertical component; the
   manufactured test bed for the frozen-in checks.
@@ -207,11 +209,10 @@ def rhs(state: FlowState, cfg: SolverConfig):
     du3 = np.empty(u3.shape)
     if free:
         drho = np.empty(u3.shape)
-        gp1 = np.empty(g2.dims)
-        gp2 = np.empty(g2.dims)
+        pm = np.empty(g2.dims)  # the x3-mean of Pi
 
     def slab(a, b):
-        """Planes a..b-1 of du3 (and of drho, gp1, gp2 when free); returns
+        """Planes a..b-1 of du3 (and of drho, pm when free); returns
         max |d3 u3| there, and its node if it is past the abort value."""
         own = u3[a:b]
         out = du3[a:b]
@@ -230,11 +231,10 @@ def rhs(state: FlowState, cfg: SolverConfig):
         d3u3 *= own
         out -= d3u3
         if free:
+            pi = cfg.c ** 2 * np.log(rho[a:b])
+            pm[a:b] = pi.mean(axis=2)
+            out -= derivative(pi, 2, h3[2])
             rho_h, _ = with_halo(rho, a, b)
-            pi = cfg.c ** 2 * np.log(rho_h)
-            gp1[a:b] = derivative(pi, 0, h3[0], halo).mean(axis=2)
-            gp2[a:b] = derivative(pi, 1, h3[1], halo).mean(axis=2)
-            out -= derivative(pi, 2, h3[2], halo)
             flux = derivative(rho_h * with_halo(u1b, a, b)[0], 0, h3[0], halo)
             flux += derivative(rho[a:b] * u2b[a:b], 1, h3[1])
             flux += derivative(rho[a:b] * own, 2, h3[2])
@@ -259,10 +259,10 @@ def rhs(state: FlowState, cfg: SolverConfig):
                            f"rho = {rho[node]} at node {tuple(map(int, node))}")
 
     if cfg.mode == "constrained":
-        pi = cfg.c ** 2 * np.log(rho)
-        gp1, gp2 = derivative(pi, 0, h2[0]), derivative(pi, 1, h2[1])
+        pm = cfg.c ** 2 * np.log(rho)
         drho = -(derivative(rho * u1, 0, h2[0])
                  + derivative(rho * u2, 1, h2[1]))
+    gp1, gp2 = derivative(pm, 0, h2[0]), derivative(pm, 1, h2[1])
 
     du1 = -(u1 * derivative(u1, 0, h2[0])
             + u2 * derivative(u1, 1, h2[1])) - gp1

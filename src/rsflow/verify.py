@@ -58,19 +58,24 @@ def _check_snapshot(name, comps, grid: Grid) -> None:
 
 
 def _columns(name, comps, grid: Grid) -> list:
-    """A snapshot given as three 3D arrays, as arrays that own their data,
-    so none keeps a 3D array or an RSFF file's bytes alive: u1 and u2 once
-    per column (layer 0) in 2D, and a copy of u3.  The frozen-in law holds
-    only for RSF flows, so a u1 or u2 varying along x3 is a ``ValueError``."""
+    """A snapshot given as three 3D arrays, as arrays that hold their own
+    values and nothing more, so none keeps a 3D array alive: u1 and u2
+    once per column (layer 0) in 2D, and u3 as it is.  A u1 or u2
+    broadcast along x3 (as an RSFF v2 file stores it) is its stored 2D
+    array.  The frozen-in law holds only for RSF flows, so a 3D u1 or u2
+    (as an RSFF v1 file holds it) that varies along x3 is a
+    ``ValueError``."""
     layers = [v[..., 0] for v in comps[:2]]
     _check_snapshot(name, layers + list(comps[2:]), grid)
     for c, layer in enumerate(layers):
+        if not comps[c].strides[2]:
+            continue
         dev = float(np.max(np.abs(comps[c] - layer[..., None])))
         if dev > 0:
             raise ValueError(f"{name}: u{c + 1} varies along x3 by up to "
                              f"{dev:.3g}; an RSF history needs u1 and u2 "
                              f"constant along x3")
-    return [np.ascontiguousarray(v) for v in layers] + [comps[2].copy()]
+    return [np.ascontiguousarray(v) for v in layers] + [comps[2]]
 
 
 class VelocityHistory:
@@ -82,6 +87,13 @@ class VelocityHistory:
     """
 
     def __init__(self, grid: Grid, times, snapshots):
+        self._hold(grid, times, snapshots)
+        for i, comps in enumerate(self.snapshots):
+            check_finite(self._name(i), comps)
+
+    def _hold(self, grid: Grid, times, snapshots) -> None:
+        """``__init__`` without its NaN/Inf scan of the snapshots, for
+        arrays that their reader has scanned."""
         times = [float(t) for t in times]
         if len(times) < 4:
             raise ValueError(f"cubic time interpolation needs at least 4 "
@@ -98,10 +110,11 @@ class VelocityHistory:
         if len(self.snapshots) != len(times):
             raise ValueError("times/snapshots length mismatch")
         for i, comps in enumerate(self.snapshots):
-            name = f"snapshot {i} (t = {times[i]:.6g})"
-            _check_snapshot(name, comps, grid)
-            check_finite(name, comps)
+            _check_snapshot(self._name(i), comps, grid)
         self.dt = times[1] - times[0]
+
+    def _name(self, index: int) -> str:
+        return f"snapshot {index} (t = {self.times[index]:.6g})"
 
     @classmethod
     def from_result(cls, result: SimulationResult) -> "VelocityHistory":
@@ -124,7 +137,9 @@ class VelocityHistory:
                                  f"{files[0].name}'s {grid.dims}")
             times.append(t)
             snaps.append(_columns(f, [c.values for c in vf.components], grid))
-        return cls(grid, times, snaps)
+        history = cls.__new__(cls)
+        history._hold(grid, times, snaps)  # read_field scanned every value
+        return history
 
     @property
     def t0(self) -> float:

@@ -170,31 +170,37 @@ def test_check_rsf_fails_a_nan_deviation(tmp_path, capsys):
     assert capsys.readouterr().out == "rsf_violation=nan\n"
 
 
-def _file_of_components(tmp_path, ncomp):
+def _file_of_components(tmp_path, ncomp, version):
     """A 3D RSFF file on 8^3 with ``ncomp`` zero components, written
-    byte by byte (the writer refuses to make a header-only file)."""
+    byte by byte (the writer refuses to make a header-only file); in
+    version 2 each component varies along all three axes."""
     path = tmp_path / f"ncomp{ncomp}.rsff"
-    path.write_bytes(rsff.MAGIC + struct.pack("<6I", rsff.VERSION, 3, ncomp, 8, 8, 8)
-                     + struct.pack("<4d", 1, 1, 1, 0) + bytes(8 * 8 ** 3 * ncomp))
+    masks = struct.pack(f"<{ncomp}I", *[0b111] * ncomp) if version == 2 else b""
+    path.write_bytes(rsff.MAGIC + struct.pack("<6I", version, 3, ncomp, 8, 8, 8)
+                     + struct.pack("<4d", 1, 1, 1, 0) + masks
+                     + bytes(8 * 8 ** 3 * ncomp))
     return path
 
 
-@pytest.mark.parametrize("ncomp, message", [
-    (0, "no components"),
-    (1, "needs 3 components on its 3D grid, got 1")], ids=["header only", "one"])
-def test_check_rsf_names_the_file_with_a_bad_component_count(ncomp, message,
+@pytest.mark.parametrize("ncomp, version, message", [
+    (0, 2, "no components"),
+    (1, 1, "needs 3 components on its 3D grid, got 1"),
+    (1, 2, "needs 3 components on its 3D grid, got 1")],
+    ids=["header only", "one", "one-v2"])
+def test_check_rsf_names_the_file_with_a_bad_component_count(ncomp, version, message,
                                                              tmp_path, capsys):
-    path = _file_of_components(tmp_path, ncomp)
+    path = _file_of_components(tmp_path, ncomp, version)
     assert main(["check-rsf", "--field", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
-@pytest.mark.parametrize("ncomp, message", [
-    (0, "no components"),
-    (2, "no component u3, got 2 components")], ids=["header only", "two"])
-def test_slice_image_names_the_file_with_a_bad_component_count(ncomp, message,
+@pytest.mark.parametrize("ncomp, version, message", [
+    (0, 2, "no components"),
+    (2, 1, "no component u3, got 2 components"),
+    (2, 2, "no component u3, got 2 components")], ids=["header only", "two", "two-v2"])
+def test_slice_image_names_the_file_with_a_bad_component_count(ncomp, version, message,
                                                                tmp_path, capsys):
-    path = _file_of_components(tmp_path, ncomp)
+    path = _file_of_components(tmp_path, ncomp, version)
     rc = main(["slice-image", "--snapshot", str(path), "--component", "u3",
                "--axis3", "0", "--out", str(tmp_path / "u3.ppm")])
     assert rc == 2
@@ -372,19 +378,33 @@ def test_simulate_rejects_bad_config_values(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
-# header offsets of a 3D RSFF file: length at 28, time at 52, values at 60
-@pytest.mark.parametrize("offset, value, message", [
-    (60, np.nan, "u1 = nan at node (0, 0, 0)"),
-    (52, np.nan, "time nan is not finite"),
-    (36, np.inf, "box lengths must be positive and finite"),
-], ids=["nan_value", "nan_time", "inf_length"])
+def _write_v1(path, arrays, grid, time):
+    """An RSFF version 1 file: no axis masks, every component over every
+    axis."""
+    with open(path, "wb") as fh:
+        fh.write(rsff.MAGIC + struct.pack("<6I4d", 1, 3, len(arrays), *grid.dims,
+                                          *grid.length, time))
+        for a in arrays:
+            np.ascontiguousarray(a, dtype="<f8").tofile(fh)
+
+
+# header offsets of a 3D RSFF file: length at 28, time at 52, then values
+# at 60 (version 1) or the three axis masks at 60 and values at 72
+@pytest.mark.parametrize("offset, value, message, version", [
+    (60, np.nan, "u1 = nan at node (0, 0, 0)", 1),
+    (52, np.nan, "time nan is not finite", 2),
+    (36, np.inf, "box lengths must be positive and finite", 2),
+    (72, np.nan, "u1 = nan at node (0, 0, 0)", 2),
+], ids=["nan_value", "nan_time", "inf_length", "nan_value-v2"])
 def test_corrupt_snapshot_is_named_by_check_rsf_and_verify_frozen(
-        offset, value, message, tmp_path, capsys):
+        offset, value, message, version, tmp_path, capsys):
     g = Grid.cube(3, 8)
     for i in range(4):
-        rsff.write_field(tmp_path / f"snap_{i:04d}.rsff",
-                         VectorField.from_arrays(g, [np.full(g.dims, 0.1 * i)] * 3),
-                         0.1 * i)
+        path, arrays = tmp_path / f"snap_{i:04d}.rsff", [np.full(g.dims, 0.1 * i)] * 3
+        if version == 1:
+            _write_v1(path, arrays, g, 0.1 * i)
+        else:
+            rsff.write_field(path, VectorField.from_arrays(g, arrays), 0.1 * i)
     bad = tmp_path / "snap_0002.rsff"
     raw = bytearray(bad.read_bytes())
     struct.pack_into("<d", raw, offset, value)

@@ -16,7 +16,7 @@ import pytest
 from rsflow import fields as fields_module
 from rsflow import rsf as rsf_module
 from rsflow import solver as solver_module
-from rsflow.fields import Grid, VectorField, derivative
+from rsflow.fields import Grid, ScalarField, VectorField, derivative
 from rsflow.rsf import ZeroPattern, check_rsf, zero_pattern
 from rsflow.solver import (SolverConfig, assemble_velocity, cfl_dt,
                            diagnostics, format_config, init_state,
@@ -257,8 +257,8 @@ def _unfused_rhs(state, cfg):
         drho = -(derivative(rho * u1, 0, h2[0])
                  + derivative(rho * u2, 1, h2[1]))
     else:
-        gp1 = derivative(pi, 0, h3[0]).mean(axis=2)
-        gp2 = derivative(pi, 1, h3[1]).mean(axis=2)
+        pm = pi.mean(axis=2)
+        gp1, gp2 = derivative(pm, 0, h2[0]), derivative(pm, 1, h2[1])
         du3 = du3 - derivative(pi, 2, h3[2])
         drho = -(derivative(rho * u1b, 0, h3[0])
                  + derivative(rho * u2b, 1, h3[1])
@@ -297,6 +297,26 @@ def test_rhs_is_bit_identical_to_whole_grid_passes(mode, dims,
     cfg = SolverConfig(mode=mode, dims=dims, seed=3)
     state = init_state(cfg)
     assert _same(rhs(state, cfg), _unfused_rhs(state, cfg))
+
+
+@pytest.mark.parametrize("dims", [(16, 16, 16), POOL_DIMS])
+def test_free_pressure_gradient_is_the_x3_mean_of_the_3d_one(dims,
+                                                            three_slab_threads):
+    # the horizontal gradient of Pi's x3-mean, against the x3-mean of
+    # Pi's 3D horizontal gradient, which the solver took before: equal in
+    # exact arithmetic, the rest of each tendency unchanged
+    cfg = SolverConfig(mode="free", dims=dims, seed=3)
+    state = init_state(cfg)
+    du1, du2, du3, drho = rhs(state, cfg)
+    pi = cfg.c ** 2 * np.log(state.rho)
+    h2, h3 = state.grid2.spacing, state.grid3.spacing
+    u1, u2 = state.u1, state.u2
+    for k, du, u in ((0, du1, u1), (1, du2, u2)):
+        gp = derivative(pi, k, h3[k]).mean(axis=2)
+        adv = -(u1 * derivative(u, 0, h2[0]) + u2 * derivative(u, 1, h2[1]))
+        assert np.max(np.abs(du - (adv - gp))) <= 1e-13 * np.max(np.abs(gp))
+    _, _, du3_ref, drho_ref = _unfused_rhs(state, cfg)
+    assert np.array_equal(du3, du3_ref) and np.array_equal(drho, drho_ref)
 
 
 def _steep_state(mode, amplitudes):
@@ -443,12 +463,10 @@ def test_rk4_holds_three_entry_sizes_beyond_its_input():
 
 
 def _whole_grid_rsf_dev(u, pattern):
-    worst = 0.0
-    for c, r in pattern.required_zero:
-        der = derivative(u.components[c - 1].values, r - 1,
-                         u.grid.spacing[r - 1])
-        worst = max(worst, float(np.max(np.abs(der))))
-    return worst
+    # np.max, not max(), so that a NaN maximum stays NaN
+    return float(np.max([np.max(np.abs(derivative(
+        u.components[c - 1].values, r - 1, u.grid.spacing[r - 1])))
+        for c, r in pattern.required_zero], initial=0.0))
 
 
 def _whole_grid_pressure_residual(state, cfg):
@@ -507,6 +525,58 @@ def test_check_rsf_in_slabs_is_the_whole_grid_value(pattern,
     u = VectorField.from_arrays(grid, rng.normal(size=(3,) + POOL_DIMS))
     expected = _whole_grid_rsf_dev(u, pattern)
     assert expected > 0 and check_rsf(u, pattern) == expected
+
+
+def _broadcast_velocity(dims, nan):
+    """u1 and u2 stored once per column (stride 0 along x3), u2 also
+    broadcast along x1 (stride 0 along the slab axis), u3 full; with
+    ``nan``, u1's column at x1 = 0 and at the last x1 is NaN, so the first
+    and last slabs, whose halos wrap, read it."""
+    rng = np.random.default_rng(8)
+    u1 = rng.normal(size=dims[:2])
+    if nan:
+        u1[0, 3] = u1[-1, 5] = np.nan
+    u2 = rng.normal(size=dims[1])
+    arrays = [np.broadcast_to(u1[:, :, None], dims),
+              np.broadcast_to(u2[None, :, None], dims),
+              rng.normal(size=dims)]
+    grid = Grid(dims)
+    return VectorField(grid, tuple(ScalarField._unchecked(grid, a) for a in arrays))
+
+
+@pytest.mark.parametrize("threads", ["pool", "one"])
+@pytest.mark.parametrize("dims", [(16, 16, 16), POOL_DIMS])
+@pytest.mark.parametrize("nan", [False, True], ids=["zero", "nan"])
+@pytest.mark.parametrize("pattern", [
+    zero_pattern(3), ZeroPattern(3, frozenset({(2, 1), (3, 1), (1, 3)}))],
+    ids=["rsf", "with-x1"])
+def test_check_rsf_on_broadcast_components_is_the_whole_grid_value(
+        pattern, nan, dims, threads, three_slab_threads, monkeypatch):
+    # a component broadcast along a required-zero axis is checked on one
+    # fibre; u2's stride 0 along x1 is the slab axis, which is not cut
+    if threads == "one":
+        monkeypatch.setattr(fields_module, "_slab_pool", lambda: None)
+    u = _broadcast_velocity(dims, nan)
+    expected = _whole_grid_rsf_dev(u, pattern)
+    got = check_rsf(u, pattern)
+    assert np.isnan(expected) == nan
+    assert repr(got) == repr(expected)
+    if not nan:
+        assert (expected > 0) == (pattern != zero_pattern(3))
+
+
+def test_check_rsf_differentiates_a_broadcast_component_on_one_fibre(
+        three_slab_threads, monkeypatch):
+    # cut before with_halo: the wrapped end slabs would copy all of x3
+    shapes = []
+
+    def spy(values, axis, h, halo=0):
+        shapes.append(np.shape(values)[axis])
+        return derivative(values, axis, h, halo)
+
+    monkeypatch.setattr(rsf_module, "derivative", spy)
+    assert check_rsf(_broadcast_velocity(POOL_DIMS, False), zero_pattern(3)) == 0.0
+    assert len(shapes) > 4 and set(shapes) == {4}
 
 
 def test_each_full_grid_maximum_is_one_slab_pass(monkeypatch):

@@ -1,6 +1,7 @@
 """Verification harness: flow maps, pullback errors, residuals, order fits."""
 
 import math
+import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -87,15 +88,66 @@ def test_history_from_rsff_keeps_steady_horizontal_flow(tmp_path):
         assert all(np.array_equal(s[c], h.snapshots[0][c]) for s in h.snapshots)
 
 
+def _owner(v):
+    while isinstance(v.base, np.ndarray):
+        v = v.base
+    return v
+
+
 def test_history_from_rsff_snapshots_own_their_data(tmp_path):
-    # an RSFF read returns views of the file's bytes; a snapshot that held
-    # one would keep the whole file alive
+    # a snapshot that held a 3D u1 or u2, or one buffer of a whole file,
+    # would keep it alive: full components as stored (u1 and u2 copied
+    # out of their layer 0), then u1 and u2 stored once per column, which
+    # are their stored 2D arrays
     g = Grid.cube(3, 8)
     u = VectorField.from_arrays(g, [np.full(g.dims, 0.1 * c) for c in range(3)])
     for i in range(4):
         rsff.write_field(tmp_path / f"snap_{i:04d}.rsff", u, 0.5 * i)
     h = VelocityHistory.from_rsff_dir(tmp_path)
     assert all(v.flags.owndata for snap in h.snapshots for v in snap)
+    columns = [np.broadcast_to(np.full(g.dims[:2], 0.1 * c)[:, :, None], g.dims)
+               for c in range(2)]
+    u = VectorField.from_arrays(g, columns + [np.full(g.dims, 0.2)])
+    for i in range(4):
+        rsff.write_field(tmp_path / f"snap_{i:04d}.rsff", u, 0.5 * i)
+    h = VelocityHistory.from_rsff_dir(tmp_path)
+    assert all(_owner(v).nbytes == v.nbytes for snap in h.snapshots for v in snap)
+    assert all(snap[2].flags.owndata for snap in h.snapshots)
+
+
+def test_history_from_rsff_scans_each_value_once(tmp_path, monkeypatch):
+    # read_field scans each stored value; the history does not scan again
+    g = Grid.cube(3, 8)
+    columns = [np.broadcast_to(np.zeros(g.dims[:2])[:, :, None], g.dims)] * 2
+    u = VectorField.from_arrays(g, columns + [np.zeros(g.dims)])
+    for i in range(4):
+        rsff.write_field(tmp_path / f"snap_{i:04d}.rsff", u, 0.5 * i)
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: calls.append(a.shape) or isfinite(a))
+    VelocityHistory.from_rsff_dir(tmp_path)
+    assert sorted(calls) == sorted([(8, 8, 1), (8, 8, 1), (8, 8, 8)] * 4 + [(4,)])
+
+
+def test_history_from_v1_and_v2_files_is_the_history_of_the_run(tmp_path):
+    # the same run read back from the version 2 files it wrote and from
+    # version 1 copies of them: the flow map and both errors of each are
+    # the ones from the run's own arrays
+    cfg = SolverConfig(mode="constrained", dims=(16, 16, 16), t_end=0.4,
+                       amplitude=0.1, kmax=1, snapshot_stride=1)
+    result = run_simulation(cfg, outdir=tmp_path / "v2")
+    (tmp_path / "v1").mkdir()
+    g = result.grid3
+    for i, (t, comps) in enumerate(zip(result.times, result.snapshots)):
+        with open(tmp_path / "v1" / f"snap_{i:04d}.rsff", "wb") as fh:
+            fh.write(rsff.MAGIC + struct.pack("<6I4d", 1, 3, 3, *g.dims, *g.length, t))
+            for a in comps:
+                np.ascontiguousarray(a, dtype="<f8").tofile(fh)
+    errors = [frozen_in_errors(h, h) for h in (
+        VelocityHistory.from_result(result),
+        VelocityHistory.from_rsff_dir(tmp_path / "v2"),
+        VelocityHistory.from_rsff_dir(tmp_path / "v1"))]
+    assert repr(errors[1]) == repr(errors[0]) and repr(errors[2]) == repr(errors[0])
 
 
 def test_history_rejects_mixed_columnar_snapshots():
