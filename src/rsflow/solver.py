@@ -259,10 +259,12 @@ def rhs(state: FlowState, cfg: SolverConfig):
                            f"rho = {rho[node]} at node {tuple(map(int, node))}")
 
     if cfg.mode == "constrained":
-        pm = cfg.c ** 2 * np.log(rho)
+        pi = cfg.c ** 2 * np.log(rho)
+        gp1, gp2 = derivative(pi, 0, h2[0]), derivative(pi, 1, h2[1])
         drho = -(derivative(rho * u1, 0, h2[0])
                  + derivative(rho * u2, 1, h2[1]))
-    gp1, gp2 = derivative(pm, 0, h2[0]), derivative(pm, 1, h2[1])
+    else:
+        gp1, gp2 = derivative(pm, 0, h2[0]), derivative(pm, 1, h2[1])
 
     du1 = -(u1 * derivative(u1, 0, h2[0])
             + u2 * derivative(u1, 1, h2[1])) - gp1
