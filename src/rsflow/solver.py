@@ -209,10 +209,11 @@ def rhs(state: FlowState, cfg: SolverConfig):
     du3 = np.empty(u3.shape)
     if free:
         drho = np.empty(u3.shape)
-        pm = np.empty(g2.dims)  # the x3-mean of Pi
+        gp1 = np.empty(g2.dims)
+        gp2 = np.empty(g2.dims)
 
     def slab(a, b):
-        """Planes a..b-1 of du3 (and of drho, pm when free); returns
+        """Planes a..b-1 of du3 (and of drho, gp1, gp2 when free); returns
         max |d3 u3| there, and its node if it is past the abort value."""
         own = u3[a:b]
         out = du3[a:b]
@@ -231,10 +232,12 @@ def rhs(state: FlowState, cfg: SolverConfig):
         d3u3 *= own
         out -= d3u3
         if free:
-            pi = cfg.c ** 2 * np.log(rho[a:b])
-            pm[a:b] = pi.mean(axis=2)
-            out -= derivative(pi, 2, h3[2])
             rho_h, _ = with_halo(rho, a, b)
+            pi = cfg.c ** 2 * np.log(rho_h)
+            pm = pi.mean(axis=2)  # with the halo rows its x1-stencil reads
+            gp1[a:b] = derivative(pm, 0, h2[0], halo)
+            gp2[a:b] = derivative(pm[halo:halo + b - a], 1, h2[1])
+            out -= derivative(pi, 2, h3[2], halo)
             flux = derivative(rho_h * with_halo(u1b, a, b)[0], 0, h3[0], halo)
             flux += derivative(rho[a:b] * u2b[a:b], 1, h3[1])
             flux += derivative(rho[a:b] * own, 2, h3[2])
@@ -263,8 +266,6 @@ def rhs(state: FlowState, cfg: SolverConfig):
         gp1, gp2 = derivative(pi, 0, h2[0]), derivative(pi, 1, h2[1])
         drho = -(derivative(rho * u1, 0, h2[0])
                  + derivative(rho * u2, 1, h2[1]))
-    else:
-        gp1, gp2 = derivative(pm, 0, h2[0]), derivative(pm, 1, h2[1])
 
     du1 = -(u1 * derivative(u1, 0, h2[0])
             + u2 * derivative(u1, 1, h2[1])) - gp1
