@@ -302,9 +302,9 @@ def test_rhs_is_bit_identical_to_whole_grid_passes(mode, dims,
 @pytest.mark.parametrize("dims", [(16, 16, 16), POOL_DIMS])
 def test_free_pressure_gradient_is_the_x3_mean_of_the_3d_one(dims,
                                                             three_slab_threads):
-    # the horizontal gradient of Pi's x3-mean, against the x3-mean of
-    # Pi's 3D horizontal gradient, which the solver took before: equal in
-    # exact arithmetic, the rest of each tendency unchanged
+    # the horizontal gradient of Pi's x3-mean against the x3-mean of Pi's
+    # 3D horizontal gradient: equal in exact arithmetic; du3 and drho do
+    # not use it
     cfg = SolverConfig(mode="free", dims=dims, seed=3)
     state = init_state(cfg)
     du1, du2, du3, drho = rhs(state, cfg)
